@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .discrete import JointDist, index_matrix, onehot_matrix
 from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
@@ -80,6 +79,19 @@ class EndpointPosterior:
         if np.any(p < 0.0) or abs(p.sum() - 1.0) > _ROW_TOL:
             raise ValueError("posterior entries must be nonnegative and sum to 1")
         object.__setattr__(self, "probs", p)
+
+
+def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the finite maximum.
+
+    An all -inf slice gives -inf (no warning); a +inf entry gives +inf.
+    """
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _log_table(p: np.ndarray) -> np.ndarray:

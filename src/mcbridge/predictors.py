@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .discrete import JointDist, onehot_matrix
-from .oracle import MarginalTable, joint_posterior_probs
+from .oracle import MarginalTable, joint_posterior_probs, logsumexp
 from .seeding import derive_rng
 
 
@@ -296,12 +295,14 @@ def nucleus_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """Keep the smallest descending-sorted prefix with cumulative mass >= p.
 
     Sorting is stable on the negated rows, so ties keep the lower token id
-    first; kept entries are renormalized, the rest zeroed. A 1e-12 slack on
-    the cumulative comparison makes p = 1 a no-op despite rounding.
+    first; kept entries are renormalized, the rest zeroed. p = 1 returns the
+    rows unchanged (a copy), so no tail mass is cut by cumulative rounding.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"nucleus threshold must lie in (0, 1], got {p}")
     rows = np.asarray(rows, dtype=float)
+    if p == 1.0:
+        return rows.copy()
     order = np.argsort(-rows, axis=-1, kind="stable")
     sorted_rows = np.take_along_axis(rows, order, axis=-1)
     cum = np.cumsum(sorted_rows, axis=-1)

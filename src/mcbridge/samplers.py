@@ -14,13 +14,20 @@ Four methods share one harness:
 
 Chains are embarrassingly parallel: chain i owns the stream derived from
 (seed, "chain", i), so its output never depends on how many chains run.
-The batch runner advances all chains in lockstep, drawing each chain's
-randomness from its own stream in the same order a solo run would.
+The batch runner advances all chains in lockstep and each chain reads its
+own stream in a fixed order: the standard-normal start state, then, for each
+segment of _DRAW_STEPS consecutive steps, one block of endpoint uniforms
+(mcb only) and one block of Gaussian noise for the segment's steps with
+nonzero variance; sde's exact final step draws its uniforms last. A solo
+run (run_chain) is the same runner with one chain, so it reproduces its
+batch counterpart draw for draw. The single-step functions below draw per
+step and are not tied to that layout.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +205,43 @@ def sde_step(
     return y + h * (y + 2.0 * score) + math.sqrt(2.0 * h) * rng.standard_normal(y.size)
 
 
+# Steps per block of per-chain draws. A fixed constant, never derived from n
+# or the grid, so chain i's draws depend only on (seed, i).
+_DRAW_STEPS = 8
+
+
+def _segment_draws(
+    rngs: list[np.random.Generator],
+    noise_var: list[float],
+    length: int,
+    dim: int,
+    with_uniforms: bool,
+) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Yield (uniforms, noise) for each step, each an (n, ...) array or None.
+
+    Every _DRAW_STEPS steps, each chain draws the segment's endpoint uniforms
+    (when ``with_uniforms``) in one call, then the Gaussian noise of the
+    segment's steps whose variance is nonzero in a second call.
+    """
+    n = len(rngs)
+    for start in range(0, len(noise_var), _DRAW_STEPS):
+        seg = range(start, min(start + _DRAW_STEPS, len(noise_var)))
+        noisy = [k for k in seg if noise_var[k] != 0.0]
+        uniforms = np.empty((n, len(seg), length)) if with_uniforms else None
+        noise = np.empty((n, len(noisy), dim))
+        for i, rng in enumerate(rngs):
+            if uniforms is not None:
+                rng.random(out=uniforms[i])
+            if noisy:
+                rng.standard_normal(out=noise[i])
+        steps_noise = iter(noise.transpose(1, 0, 2))
+        for j, k in enumerate(seg):
+            yield (
+                None if uniforms is None else uniforms[:, j],
+                next(steps_noise) if noise_var[k] != 0.0 else None,
+            )
+
+
 def _run_lockstep(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
@@ -206,9 +250,10 @@ def _run_lockstep(
 ) -> tuple[np.ndarray, np.ndarray, list[ChainTrace] | None]:
     """Advance all chains together; chain i draws only from rngs[i].
 
-    Per chain and step the draw order matches the single-chain step functions:
-    endpoint uniforms first (mcb only), then Gaussian noise, skipping the
-    noise block when the step variance is exactly zero.
+    Chain i's draw order: its start state; then per segment of _DRAW_STEPS
+    steps the endpoint uniforms (mcb only) and the noise of the steps with
+    nonzero variance (see _segment_draws); last, sde_exact_final's uniforms.
+    ode draws only the start state.
     """
     n = len(rngs)
     dim = pred.vocab * pred.length
@@ -218,6 +263,7 @@ def _run_lockstep(
         rng.standard_normal(out=states[i])
     traces: list[ChainTrace] | None = [ChainTrace() for _ in range(n)] if with_trace else None
     last_tokens: np.ndarray | None = None
+    pairs = cfg.grid.pairs()
 
     if cfg.method == "ode":
         fm_times = [fm_time_map(u)[0] for u in cfg.grid.levels[:-1]] + [1.0]
@@ -242,17 +288,15 @@ def _run_lockstep(
         final = states
 
     elif cfg.method == "sde":
-        horizon = cfg.grid.horizon
-        noise = np.empty((n, dim))
-        for k, (u_k, u_next) in enumerate(cfg.grid.pairs()):
+        # Euler-Maruyama noise variance 2h per step
+        draws = _segment_draws(rngs, [2.0 * (u_k - u_next) for u_k, u_next in pairs], length, dim, False)
+        for k, ((u_k, u_next), (_, noise)) in enumerate(zip(pairs, draws)):
             try:
                 h = u_k - u_next
                 co = ou_coeffs(u_k)
                 rows = pred.marginals_batch(states, u_k)
                 m = rows.reshape(n, dim)
                 score = (co.c * m - states) / co.sigma2
-                for i, rng in enumerate(rngs):
-                    rng.standard_normal(out=noise[i])
                 states = states + h * (states + 2.0 * score) + math.sqrt(2.0 * h) * noise
             except Exception as exc:
                 raise StepFailed(k, u_k, exc) from exc
@@ -275,28 +319,24 @@ def _run_lockstep(
         final = states
 
     else:  # mcb / ddpm
-        uniforms = np.empty((n, length))
-        noise = np.empty((n, dim))
-        for k, (u_k, u_next) in enumerate(cfg.grid.pairs()):
+        coeffs = [reverse_step_coeffs(u_next, u_k) for u_k, u_next in pairs]
+        draws = _segment_draws(rngs, [var for _, _, var in coeffs], length, dim, cfg.method == "mcb")
+        for k, ((u_k, _), (uniforms, noise)) in enumerate(zip(pairs, draws)):
             try:
                 rows = pred.marginals_batch(states, u_k)
                 endpoints = None
                 if cfg.method == "mcb":
                     rows = nucleus_rows(temperature_rows(rows, cfg.temperature), cfg.nucleus_p)
-                    for i, rng in enumerate(rngs):
-                        rng.random(out=uniforms[i])
                     tokens = _sample_categorical_rows(rows, uniforms)
                     target = _onehot_from_tokens(tokens, vocab)
                     endpoints = tokens
                     last_tokens = tokens
                 else:
                     target = rows.reshape(n, dim)
-                a, b, var = reverse_step_coeffs(u_next, u_k)
-                if var == 0.0:
+                a, b, var = coeffs[k]
+                if noise is None:
                     states = a * target + b * states
                 else:
-                    for i, rng in enumerate(rngs):
-                        rng.standard_normal(out=noise[i])
                     states = a * target + b * states + math.sqrt(var) * noise
             except Exception as exc:
                 raise StepFailed(k, u_k, exc) from exc
@@ -319,6 +359,13 @@ def _run_lockstep(
     return final, decoded, traces
 
 
+def _token_sequences(decoded: np.ndarray, vocab: int) -> list[TokenSequence]:
+    """One TokenSequence per row; equal rows share one immutable object."""
+    rows, inverse = np.unique(decoded, axis=0, return_inverse=True)
+    distinct = [TokenSequence(tokens=tuple(int(t) for t in row), vocab=vocab) for row in rows]
+    return [distinct[j] for j in inverse.reshape(-1)]
+
+
 def run_chain(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
@@ -326,8 +373,7 @@ def run_chain(
 ) -> tuple[np.ndarray, TokenSequence, ChainTrace | None]:
     """Run one chain from a standard-normal start over the configured grid."""
     final, decoded, traces = _run_lockstep(cfg, pred, [rng], with_trace=cfg.trace)
-    seq = TokenSequence(tokens=tuple(int(t) for t in decoded[0]), vocab=pred.vocab)
-    return final[0], seq, traces[0] if traces is not None else None
+    return final[0], _token_sequences(decoded, pred.vocab)[0], traces[0] if traces is not None else None
 
 
 def batch_sample(
@@ -345,7 +391,7 @@ def batch_sample(
         raise ValueError("n must be >= 1")
     rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
     final, decoded, _ = _run_lockstep(cfg, pred, rngs, with_trace=False)
-    seqs = [TokenSequence(tokens=tuple(int(t) for t in row), vocab=pred.vocab) for row in decoded]
+    seqs = _token_sequences(decoded, pred.vocab)
     if return_states:
         return seqs, final
     return seqs
@@ -361,6 +407,6 @@ def batch_sample_traced(
         raise ValueError("n must be >= 1")
     rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
     final, decoded, traces = _run_lockstep(cfg, pred, rngs, with_trace=True)
-    seqs = [TokenSequence(tokens=tuple(int(t) for t in row), vocab=pred.vocab) for row in decoded]
+    seqs = _token_sequences(decoded, pred.vocab)
     assert traces is not None
     return seqs, final, traces

@@ -3,12 +3,14 @@
 All randomness in the package flows from a single 64-bit root seed. Purpose
 tags (strings) and indices (ints) are mixed into a ``numpy.random.SeedSequence``
 so that, e.g., chain i's stream depends only on (root, "chain", i) and not on
-how many chains run or in which order. String tags are hashed with SHA-256
-(Python's built-in ``hash`` is salted per process and would break replay).
+how many chains run or in which order. String tags are hashed with SHA-256,
+once per distinct tag (Python's built-in ``hash`` is salted per process and
+would break replay).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -16,9 +18,14 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=1024)
+def _str_word(tag: str) -> int:
+    return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
+
+
 def _tag_word(tag: str | int) -> int:
     if isinstance(tag, str):
-        return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
+        return _str_word(tag)
     return int(tag) & _MASK64
 
 
@@ -31,7 +38,3 @@ def derive_rng(root_seed: int, *tags: str | int) -> np.random.Generator:
     """Generator for the stream identified by (root_seed, *tags)."""
     return np.random.default_rng(seed_sequence(root_seed, *tags))
 
-
-def chain_rngs(root_seed: int, purpose: str, n: int, start: int = 0) -> list[np.random.Generator]:
-    """Per-index streams; stream i never depends on n or on other indices."""
-    return [derive_rng(root_seed, purpose, i) for i in range(start, start + n)]

@@ -1,6 +1,11 @@
 """Brute-force posterior machinery against independent dumb oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from mcbridge.oracle import (
     filtered_endpoint_mean,
     joint_posterior,
     kernel_kl_estimate,
+    logsumexp,
     mcb_kernel_logdensity,
     multi_information,
     token_marginals,
@@ -23,6 +29,46 @@ from mcbridge.oracle import (
     true_kernel_logdensity,
 )
 from mcbridge.seeding import derive_rng
+
+
+class TestLogsumexp:
+    def test_matches_shifted_fsum_at_large_magnitude(self):
+        rng = derive_rng(30, "lse")
+        offsets = np.where(np.arange(12) % 2 == 0, 1e3, -1e3)
+        a = offsets[:, None] + rng.standard_normal((12, 7))
+        got = logsumexp(a, axis=1)
+        kept = logsumexp(a, axis=1, keepdims=True)
+        assert kept.shape == (12, 1)
+        np.testing.assert_array_equal(kept[:, 0], got)
+        for row, value in zip(a, got):
+            shift = max(row)
+            ref = shift + math.log(math.fsum(math.exp(x - shift) for x in row))
+            assert math.isclose(value, ref, rel_tol=1e-15)
+
+    def test_infinite_entries(self):
+        a = np.array([[0.0, -np.inf, 1.0], [np.inf, 0.0, -np.inf], [-np.inf, -np.inf, 2.0]])
+        got = logsumexp(a, axis=1)
+        assert math.isclose(got[0], math.log(1.0 + math.e), rel_tol=1e-15)
+        assert got[1] == np.inf
+        assert got[2] == 2.0
+
+    def test_all_neg_inf_row_is_neg_inf_without_warning(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=1)
+            whole = logsumexp(np.full(3, -np.inf))
+        assert got[0] == -np.inf
+        assert math.isclose(got[1], math.log(2.0), rel_tol=1e-15)
+        assert whole == -np.inf
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        import mcbridge
+
+        src = str(Path(mcbridge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, mcbridge; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestJointPosterior:

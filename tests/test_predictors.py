@@ -182,6 +182,12 @@ class TestNucleus:
         got = apply_nucleus(m, 0.85).probs[0]
         np.testing.assert_allclose(got, [2.0 / 3.0, 1.0 / 3.0, 0.0], rtol=1e-12)
 
+    def test_identity_at_one_keeps_tiny_tail(self):
+        rows = np.array([[1.0 - 1e-13, 1e-13, 0.0]])
+        out = nucleus_rows(rows, 1.0)
+        np.testing.assert_array_equal(out, rows)
+        assert out is not rows
+
     def test_tie_break_low_index(self):
         m = MarginalTable(probs=np.array([[0.5, 0.5]]))
         np.testing.assert_allclose(apply_nucleus(m, 0.4).probs[0], [1.0, 0.0], atol=1e-15)

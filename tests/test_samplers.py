@@ -7,7 +7,7 @@ import pytest
 from helpers import forward_state, sample_cov_se
 
 from mcbridge.discrete import encode, make_joint
-from mcbridge.kernels import NoiseGrid, reverse_step_coeffs
+from mcbridge.kernels import NoiseGrid, ou_coeffs, reverse_step_coeffs
 from mcbridge.metrics import empirical_tv, tv_noise_scale
 from mcbridge.predictors import MarginalPredictor, OraclePredictor
 from mcbridge.samplers import (
@@ -254,6 +254,48 @@ class TestRunChain:
             run_chain(cfg, FlakyPredictor(), derive_rng(25, "chain", 0))
         assert err.value.step == 2
 
+    def test_mcb_stream_layout(self):
+        """Start state, then per 8-step segment: the uniforms, then the noise of
+        the steps with nonzero variance (the final fm step has none)."""
+        rows = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        grid = NoiseGrid.fm_uniform(6.0, 11)
+        cfg = SamplerConfig(grid=grid, method="mcb", seed=26)
+        chain_rng = derive_rng(26, "chain", 3)
+        final, seq, _ = run_chain(cfg, FixedPredictor(rows), chain_rng)
+        rng = derive_rng(26, "chain", 3)
+        y = rng.standard_normal(6)
+        coeffs = [reverse_step_coeffs(u_next, u_k) for u_k, u_next in grid.pairs()]
+        for seg in (coeffs[:8], coeffs[8:]):
+            uniforms = rng.random((len(seg), 2))
+            noise = iter(rng.standard_normal((sum(var != 0.0 for *_, var in seg), 6)))
+            for (a, b, var), u in zip(seg, uniforms):
+                toks = _sample_categorical_rows(rows[None], u[None])
+                y = a * _onehot_from_tokens(toks, 3)[0] + b * y
+                if var != 0.0:
+                    y = y + math.sqrt(var) * next(noise)
+        np.testing.assert_allclose(final, y, rtol=0.0, atol=1e-12)
+        assert seq.tokens == tuple(toks[0])
+        # nothing more was drawn: the zero-variance step took no noise
+        assert chain_rng.random() == rng.random()
+
+    def test_sde_stream_layout(self):
+        """Start state, the noise of each 8-step segment in one block, then the
+        exact final step's uniforms."""
+        rows = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        grid = NoiseGrid.uniform(6.0, 11, terminal=0.01)
+        rng = derive_rng(27, "chain", 2)
+        y = rng.standard_normal(6)
+        noise = np.concatenate([rng.standard_normal((8, 6)), rng.standard_normal((3, 6))])
+        for (u_k, u_next), z in zip(grid.pairs(), noise):
+            h = u_k - u_next
+            co = ou_coeffs(u_k)
+            y = y + h * (y + 2.0 * (co.c * rows.reshape(-1) - y) / co.sigma2) + math.sqrt(2.0 * h) * z
+        toks = _sample_categorical_rows(rows[None], rng.random((1, 2)))
+        for exact_final, expect in ((False, y), (True, _onehot_from_tokens(toks, 3)[0])):
+            cfg = SamplerConfig(grid=grid, method="sde", seed=27, sde_exact_final=exact_final)
+            final, _, _ = run_chain(cfg, FixedPredictor(rows), derive_rng(27, "chain", 2))
+            np.testing.assert_allclose(final, expect, rtol=0.0, atol=1e-12)
+
     def test_sde_exact_final_emits_onehot(self, copy3x2):
         pred = OraclePredictor(copy3x2)
         grid = NoiseGrid.uniform(6.0, 32, terminal=0.01)
@@ -263,17 +305,35 @@ class TestRunChain:
 
 
 class TestBatchSample:
-    def test_single_chain_matches_run_chain(self, copy_oracle):
-        cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 6), method="mcb", seed=19)
-        batch = batch_sample(cfg, copy_oracle, 1)
-        _, seq, _ = run_chain(cfg, copy_oracle, derive_rng(19, "chain", 0))
-        assert batch[0] == seq
+    @staticmethod
+    def _config(method: str, steps: int, seed: int, sde_exact_final: bool = False) -> SamplerConfig:
+        if method == "sde":
+            grid = NoiseGrid.uniform(6.0, steps, terminal=0.01)
+        else:
+            grid = NoiseGrid.fm_uniform(6.0, steps)
+        return SamplerConfig(grid=grid, method=method, seed=seed, sde_exact_final=sde_exact_final)
 
-    def test_outputs_stable_as_count_grows(self, copy_oracle):
-        cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 6), method="ddpm", seed=20)
-        small = batch_sample(cfg, copy_oracle, 4)
-        large = batch_sample(cfg, copy_oracle, 12)
+    @pytest.mark.parametrize(
+        "method, exact_final",
+        [("mcb", False), ("ddpm", False), ("ode", False), ("sde", False), ("sde", True)],
+        ids=["mcb", "ddpm", "ode", "sde", "sde-exact-final"],
+    )
+    def test_single_chain_matches_run_chain(self, copy_oracle, method, exact_final):
+        # K = 11 is not a multiple of the draw segment length
+        cfg = self._config(method, 11, 19, exact_final)
+        seqs, states = batch_sample(cfg, copy_oracle, 5, return_states=True)
+        for i in range(5):
+            final, seq, _ = run_chain(cfg, copy_oracle, derive_rng(19, "chain", i))
+            assert seqs[i] == seq
+            np.testing.assert_allclose(states[i], final, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["mcb", "ddpm", "ode", "sde"])
+    def test_outputs_stable_as_count_grows(self, copy_oracle, method):
+        cfg = self._config(method, 11, 20)
+        small, small_states = batch_sample(cfg, copy_oracle, 4, return_states=True)
+        large, large_states = batch_sample(cfg, copy_oracle, 12, return_states=True)
         assert small == large[:4]
+        np.testing.assert_allclose(small_states, large_states[:4], rtol=0.0, atol=1e-12)
 
     def test_step_count_refinement(self, copy3x2, copy_oracle):
         """TV to the data law is non-increasing in the step count, up to noise."""
