@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, make_joint
-from .kernels import NoiseGrid
+from .discrete import JointDist, encode, make_joint
+from .kernels import NoiseGrid, forward_sample
 from .metrics import (
     denoising_gap,
     empirical_tv,
@@ -44,11 +44,22 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _merged(defaults: dict, config: dict, args: argparse.Namespace, keys: list[str]) -> dict:
+def _json_type_matches(default, value) -> bool:
+    """value has the JSON type of default; ints pass for floats, a None default takes anything."""
+    if default is None:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _merged(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
     """defaults <- config-file values <- explicitly passed flags."""
     out = dict(defaults)
-    for key in keys:
+    for key in defaults:
         if key in config:
+            if not _json_type_matches(defaults[key], config[key]):
+                raise ValueError(f"config key {key!r} must have the JSON type of its default {defaults[key]!r}")
             out[key] = config[key]
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
@@ -97,7 +108,6 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
         {"kind": "uniform", "vocab": 3, "length": 2, "alpha": 1.0, "marginals": None, "seed": 0},
         config,
         args,
-        ["kind", "vocab", "length", "alpha", "marginals", "seed"],
     )
     marginals = opts["marginals"]
     if isinstance(marginals, str):
@@ -132,7 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
         config,
         args,
-        ["steps", "batch", "learning_rate", "hidden", "u_min", "horizon", "seed"],
     )
     nu = JointDist.load(args.dist)
     cfg = TrainConfig(
@@ -177,10 +186,9 @@ _SAMPLE_DEFAULTS = {
     "chains": 1024,
     "seed": 0,
 }
-_SAMPLE_KEYS = list(_SAMPLE_DEFAULTS)
 
 
-def _sampler_config(opts: dict, trace: bool) -> SamplerConfig:
+def _sampler_config(opts: dict) -> SamplerConfig:
     grid = _build_grid(
         str(opts["grid"]), float(opts["horizon"]), int(opts["steps"]), float(opts["sde_floor"]), str(opts["method"])
     )
@@ -190,17 +198,15 @@ def _sampler_config(opts: dict, trace: bool) -> SamplerConfig:
         temperature=float(opts["temperature"]),
         nucleus_p=float(opts["nucleus_p"]),
         seed=int(opts["seed"]),
-        chains=int(opts["chains"]),
-        trace=trace,
     )
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    opts = _merged(_SAMPLE_DEFAULTS, config, args, _SAMPLE_KEYS)
+    opts = _merged(_SAMPLE_DEFAULTS, config, args)
     nu = JointDist.load(args.dist) if args.dist else None
     pred = _load_predictor(args, nu)
-    cfg = _sampler_config(opts, trace=bool(args.trace))
+    cfg = _sampler_config(opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = int(opts["chains"])
@@ -266,7 +272,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
         config,
         args,
-        ["methods", "steps_list", "temperatures", "nucleus_list", "grid", "horizon", "sde_floor", "chains", "seed"],
     )
     for key in ("methods", "steps_list", "temperatures", "nucleus_list"):
         if not opts[key]:
@@ -284,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for p in opts["nucleus_list"]:
                     cell = dict(opts)
                     cell.update({"method": method, "steps": steps, "temperature": tau, "nucleus_p": p})
-                    cfg = _sampler_config(cell, trace=False)
+                    cfg = _sampler_config(cell)
                     try:
                         seqs = batch_sample(cfg, pred, n)
                     except Exception as exc:
@@ -337,7 +342,7 @@ _VERIFY_DEFAULTS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    opts = _merged(_VERIFY_DEFAULTS, config, args, list(_VERIFY_DEFAULTS))
+    opts = _merged(_VERIFY_DEFAULTS, config, args)
     nu = JointDist.load(args.dist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -346,18 +351,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # factorization identity: KL(joint || product of marginals) == multi-information
     rng = derive_rng(seed, "verify", "factorization")
-    onehot_dim = nu.dim
     worst = 0.0
     for level in opts["levels"]:
         for _ in range(int(opts["states_per_level"])):
-            idx = nu.sample_indices(rng, 1)[0]
-            x0 = np.zeros(onehot_dim)
-            seq = nu.sequence_at(int(idx))
-            for pos, tok in enumerate(seq.tokens):
-                x0[pos * nu.vocab + tok] = 1.0
-            c = np.exp(-level)
-            sig = np.sqrt(-np.expm1(-2.0 * level))
-            x = c * x0 + sig * rng.standard_normal(onehot_dim)
+            x0 = encode(nu.sequence_at(int(nu.sample_indices(rng, 1)[0])))
+            x = forward_sample(x0, float(level), rng)
             worst = max(worst, factorization_check(nu, float(level), x).gap)
     checks.append(
         {"check": "factorization_identity", "statistic": worst, "threshold": float(opts["identity_tol"]), "passed": worst < float(opts["identity_tol"])}
@@ -385,14 +383,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bound_ok = True
     worst_margin = -float("inf")
     for _ in range(int(opts["bound_instances"])):
-        idx = int(nu.sample_indices(rng, 1)[0])
-        x0 = np.zeros(nu.dim)
-        for pos, tok in enumerate(nu.sequence_at(idx).tokens):
-            x0[pos * nu.vocab + tok] = 1.0
         u_k = float(opts["bound_u_k"])
-        c = np.exp(-u_k)
-        sig = np.sqrt(-np.expm1(-2.0 * u_k))
-        y = c * x0 + sig * rng.standard_normal(nu.dim)
+        y = forward_sample(encode(nu.sequence_at(int(nu.sample_indices(rng, 1)[0]))), u_k, rng)
         est = kernel_kl_estimate(nu, y, u_k, float(opts["bound_u_next"]), int(opts["bound_n_mc"]), rng)
         joint = joint_posterior(nu, u_k, y)
         mi = multi_information(joint, token_marginals(joint))

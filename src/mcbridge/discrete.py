@@ -1,5 +1,6 @@
 """Vocabulary, one-hot embedding, sequence enumeration, and explicit joints.
 
+Every token <-> index <-> one-hot conversion in the package lives here.
 Sequences of length L over a V-token vocabulary are embedded into R^(L*V),
 block l holding the one-hot indicator of token l. Distributions over the
 V^L sequences are stored as dense tables indexed big-endian:
@@ -71,12 +72,34 @@ class TokenSequence:
         return cls(tokens=tuple(reversed(toks)), vocab=vocab)
 
 
+def onehot(tokens: np.ndarray, vocab: int) -> np.ndarray:
+    """One-hot states (..., L*V) of token ids (..., L); block l is the basis vector of token l."""
+    tokens = np.asarray(tokens, dtype=int)
+    flat = tokens.reshape(-1, tokens.shape[-1])
+    n, length = flat.shape
+    out = np.zeros((n, length * vocab))
+    rows = np.arange(n)
+    for pos in range(length):
+        out[rows, pos * vocab + flat[:, pos]] = 1.0
+    return out.reshape(tokens.shape[:-1] + (length * vocab,))
+
+
+def token_index(tokens: np.ndarray, vocab: int) -> np.ndarray:
+    """Big-endian indices (...) of token ids (..., L) in the enumerated space."""
+    tokens = np.asarray(tokens, dtype=int)
+    return tokens @ vocab ** np.arange(tokens.shape[-1] - 1, -1, -1)
+
+
+def onehot_tokens(states: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block argmax token ids (n, L) of (n, L*V) states, and which rows are exactly one-hot."""
+    blocks = np.asarray(states, dtype=float).reshape(len(states), -1, vocab)
+    exact = np.all((blocks == 0.0) | (blocks == 1.0), axis=(1, 2)) & np.all(blocks.sum(axis=2) == 1.0, axis=1)
+    return np.argmax(blocks, axis=2), exact
+
+
 def encode(seq: TokenSequence) -> np.ndarray:
     """One-hot state vector in R^(L*V); block l is the basis vector of token l."""
-    x = np.zeros(seq.length * seq.vocab)
-    for pos, tok in enumerate(seq.tokens):
-        x[pos * seq.vocab + tok] = 1.0
-    return x
+    return onehot(seq.tokens, seq.vocab)
 
 
 def decode_argmax(x: np.ndarray, vocab: int) -> TokenSequence:
@@ -107,13 +130,7 @@ def index_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.nda
 
 def onehot_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """(V^L, L*V) matrix whose row i is encode(sequence i)."""
-    toks = index_matrix(vocab, length, cap)
-    n = toks.shape[0]
-    out = np.zeros((n, length * vocab))
-    rows = np.arange(n)
-    for pos in range(length):
-        out[rows, pos * vocab + toks[:, pos]] = 1.0
-    return out
+    return onehot(index_matrix(vocab, length, cap), vocab)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discrete import JointDist, TokenSequence, onehot_matrix
+from .discrete import JointDist, TokenSequence, onehot_matrix, token_index
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     MarginalTable,
@@ -32,6 +32,7 @@ from .oracle import (
     joint_posterior,
     joint_posterior_probs,
     multi_information,
+    row_entropy,
     token_marginals,
 )
 
@@ -46,28 +47,23 @@ def _sequence_indices(samples: Sequence[TokenSequence], nu: JointDist) -> np.nda
     arr = _sequence_array(samples)
     if arr.shape[1] != nu.length:
         raise ValueError(f"samples have length {arr.shape[1]}, law has {nu.length}")
-    powers = nu.vocab ** np.arange(nu.length - 1, -1, -1)
-    return arr @ powers
+    return token_index(arr, nu.vocab)
+
+
+def _unigram_entropies(samples: Sequence[TokenSequence]) -> np.ndarray:
+    """Per-sample entropy of the within-sequence token histogram."""
+    arr = _sequence_array(samples)
+    vocab = max(s.vocab for s in samples)
+    return row_entropy(np.stack([(arr == v).sum(axis=1) for v in range(vocab)], axis=1) / arr.shape[1])
 
 
 def unigram_entropy(samples: Sequence[TokenSequence]) -> float:
     """Average over samples of the entropy of the within-sequence histogram."""
-    arr = _sequence_array(samples)
-    vocab = max(s.vocab for s in samples)
-    length = arr.shape[1]
-    freqs = np.stack([(arr == v).sum(axis=1) for v in range(vocab)], axis=1) / length
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(freqs > 0.0, freqs * np.log(freqs), 0.0)
-    return float(h.sum(axis=1).mean())
+    return float(_unigram_entropies(samples).mean())
 
 
 def unigram_entropy_se(samples: Sequence[TokenSequence]) -> float:
-    arr = _sequence_array(samples)
-    vocab = max(s.vocab for s in samples)
-    freqs = np.stack([(arr == v).sum(axis=1) for v in range(vocab)], axis=1) / arr.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(freqs > 0.0, freqs * np.log(freqs), 0.0)
-    vals = h.sum(axis=1)
+    vals = _unigram_entropies(samples)
     return float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
 
 

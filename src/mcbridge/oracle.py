@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, onehot_matrix
+from .discrete import JointDist, index_matrix, onehot_matrix, onehot_tokens, token_index
 from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
 
 _ROW_TOL = 1e-10
@@ -149,6 +149,12 @@ def factorized_posterior(m: MarginalTable) -> EndpointPosterior:
     )
 
 
+def row_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy of each distribution along the last axis, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=-1)
+
+
 def discrete_kl(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) over a shared index set, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
@@ -238,11 +244,6 @@ def filtered_endpoint_means(
     return np.exp(logp - logsumexp(logp, axis=2, keepdims=True))
 
 
-def _is_exact_onehot(z: np.ndarray, vocab: int) -> bool:
-    blocks = z.reshape(-1, vocab)
-    return bool(np.all((blocks == 0.0) | (blocks == 1.0)) and np.all(blocks.sum(axis=1) == 1.0))
-
-
 def true_kernel_logdensities(
     nu: JointDist,
     y: np.ndarray,
@@ -265,13 +266,8 @@ def true_kernel_logdensities(
     post = joint_posterior_probs(nu, u_k, y, onehot)[0]
     a, b, var = reverse_step_coeffs(u_next, u_k)
     if var == 0.0:
-        logq = _log_table(post)
-        out = np.full(z.shape[0], -math.inf)
-        for i, row in enumerate(z):
-            if _is_exact_onehot(row, nu.vocab):
-                idx = int(np.argmax(row.reshape(-1, nu.vocab), axis=1) @ nu.vocab ** np.arange(nu.length - 1, -1, -1))
-                out[i] = logq[idx]
-        return out
+        toks, exact = onehot_tokens(z, nu.vocab)
+        return np.where(exact, _log_table(post)[token_index(toks, nu.vocab)], -math.inf)
     dim = nu.dim
     r = z - b * np.asarray(y, dtype=float)[None, :]
     sq = (r * r).sum(axis=1, keepdims=True) - 2.0 * a * (r @ onehot.T) + a * a * nu.length
@@ -301,12 +297,8 @@ def mcb_kernel_logdensities(
     a, b, var = reverse_step_coeffs(u_next, u_k)
     logm = _log_table(m.probs)
     if var == 0.0:
-        out = np.full(z.shape[0], -math.inf)
-        for i, row in enumerate(z):
-            if _is_exact_onehot(row, vocab):
-                toks = np.argmax(row.reshape(length, vocab), axis=1)
-                out[i] = float(logm[np.arange(length), toks].sum())
-        return out
+        toks, exact = onehot_tokens(z, vocab)
+        return np.where(exact, logm[np.arange(length), toks].sum(axis=1), -math.inf)
     r = (z - b * np.asarray(y, dtype=float)[None, :]).reshape(-1, length, vocab)
     sq = (r * r).sum(axis=2, keepdims=True) - 2.0 * a * r + a * a
     logits = logm[None, :, :] - sq / (2.0 * var)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, onehot_matrix
+from .discrete import JointDist, index_matrix, onehot, onehot_matrix
 from .oracle import MarginalTable, joint_posterior_probs, logsumexp
 from .seeding import derive_rng
 
@@ -42,10 +42,6 @@ class MarginalPredictor(ABC):
     def marginals(self, x: np.ndarray, u: float) -> MarginalTable:
         rows = self.marginals_batch(np.asarray(x, dtype=float)[None, :], u)[0]
         return MarginalTable(probs=rows, level=float(u))
-
-    def mean_state(self, x: np.ndarray, u: float) -> np.ndarray:
-        """Flattened endpoint mean (the denoiser output) in R^(L*V)."""
-        return self.marginals_batch(np.asarray(x, dtype=float)[None, :], u)[0].reshape(-1)
 
 
 class OraclePredictor(MarginalPredictor):
@@ -191,31 +187,22 @@ def oracle_predictor(nu: JointDist) -> OraclePredictor:
 
 
 def _corpus_sampler(data: JointDist | np.ndarray, vocab: int, length: int):
+    """draw(rng, n) -> (one-hot states, token ids) of n training sequences."""
     if isinstance(data, JointDist):
-        onehot = onehot_matrix(vocab, length)
+        table, sample = index_matrix(vocab, length), data.sample_indices
+    else:
+        table = np.asarray(data, dtype=int)
+        if table.ndim != 2 or table.shape[1] != length:
+            raise ValueError(f"corpus must be (n, {length}) token ids, got {table.shape}")
+        if table.min() < 0 or table.max() >= vocab:
+            raise ValueError("corpus contains out-of-vocabulary ids")
 
-        def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-            idx = data.sample_indices(rng, n)
-            toks = np.stack(
-                [(idx // vocab ** (length - 1 - pos)) % vocab for pos in range(length)], axis=1
-            )
-            return onehot[idx], toks
-
-        return draw
-
-    corpus = np.asarray(data, dtype=int)
-    if corpus.ndim != 2 or corpus.shape[1] != length:
-        raise ValueError(f"corpus must be (n, {length}) token ids, got {corpus.shape}")
-    if corpus.min() < 0 or corpus.max() >= vocab:
-        raise ValueError("corpus contains out-of-vocabulary ids")
+        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+            return rng.integers(0, table.shape[0], size=n)
 
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = rng.integers(0, corpus.shape[0], size=n)
-        toks = corpus[rows]
-        states = np.zeros((n, length * vocab))
-        for pos in range(length):
-            states[np.arange(n), pos * vocab + toks[:, pos]] = 1.0
-        return states, toks
+        toks = table[sample(rng, n)]
+        return onehot(toks, vocab), toks
 
     return draw
 

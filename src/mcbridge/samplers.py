@@ -20,24 +20,26 @@ segment of _DRAW_STEPS consecutive steps, one block of endpoint uniforms
 (mcb only) and one block of Gaussian noise for the segment's steps with
 nonzero variance; sde's exact final step draws its uniforms last. A solo
 run (run_chain) is the same runner with one chain, so it reproduces its
-batch counterpart draw for draw. The single-step functions below draw per
-step and are not tied to that layout.
+batch counterpart draw for draw.
+
+Each method is one batched step function; the steps share one signature and
+take their pre-drawn uniforms and noise, so the runner alone decides the draw
+layout and a single-chain step is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import TokenSequence
-from .kernels import NoiseGrid, fm_time_inverse, fm_time_map, ou_coeffs, reverse_step_coeffs
+from .discrete import TokenSequence, onehot
+from .kernels import NoiseGrid, fm_time_map, reverse_step_coeffs, tweedie_score
+from .oracle import _ROW_TOL, row_entropy
 from .predictors import MarginalPredictor, nucleus_rows, temperature_rows
 from .seeding import derive_rng
-
-METHODS = ("mcb", "ddpm", "ode", "sde")
 
 
 class StepFailed(RuntimeError):
@@ -56,19 +58,15 @@ class SamplerConfig:
     temperature: float = 1.0
     nucleus_p: float = 1.0
     seed: int = 0
-    chains: int = 1
-    trace: bool = False
     sde_exact_final: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {tuple(_METHODS)}")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be > 0")
         if not 0.0 < self.nucleus_p <= 1.0:
             raise ValueError("nucleus_p must lie in (0, 1]")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
         if self.method in ("mcb", "ddpm", "ode") and self.grid.terminal != 0.0:
             raise ValueError(f"{self.method} needs a grid ending at 0, got {self.grid.terminal}")
         if self.method == "sde" and self.grid.terminal <= 0.0:
@@ -92,12 +90,6 @@ class ChainTrace:
         return len(self.records)
 
 
-def _row_entropy_mean(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(rows > 0.0, rows * np.log(rows), 0.0)
-    return h.sum(axis=-1).mean(axis=-1)
-
-
 def _sample_categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row, scanning token ids in index order."""
     cdf = np.cumsum(rows, axis=-1)
@@ -105,104 +97,67 @@ def _sample_categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarr
     return np.minimum(idx, rows.shape[-1] - 1)
 
 
-def _onehot_from_tokens(tokens: np.ndarray, vocab: int) -> np.ndarray:
-    n, length = tokens.shape
-    out = np.zeros((n, length * vocab))
-    rows = np.arange(n)
-    for pos in range(length):
-        out[rows, pos * vocab + tokens[:, pos]] = 1.0
-    return out
+def _with_noise(mean: np.ndarray, var: float, noise: np.ndarray | None) -> np.ndarray:
+    """mean + sqrt(var) * noise; a zero-variance step takes no noise block."""
+    return mean if var == 0.0 else mean + math.sqrt(var) * noise
 
 
 def mcb_step(
-    y: np.ndarray,
+    states: np.ndarray,
     u_k: float,
     u_next: float,
     pred: MarginalPredictor,
-    tau: float,
-    p: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, TokenSequence]:
-    """One marginal-conditioned bridge step from level u_k down to u_next."""
-    y = np.asarray(y, dtype=float)
-    rows = pred.marginals_batch(y[None, :], u_k)
-    rows = nucleus_rows(temperature_rows(rows, tau), p)
-    uniforms = rng.random(pred.length)
-    tokens = _sample_categorical_rows(rows[0], uniforms)
-    endpoint = TokenSequence(tokens=tuple(int(t) for t in tokens), vocab=pred.vocab)
-    x0 = _onehot_from_tokens(tokens[None, :], pred.vocab)[0]
-    a, b, var = reverse_step_coeffs(u_next, u_k)
-    if var == 0.0:
-        return x0, endpoint
-    noise = rng.standard_normal(y.size)
-    return a * x0 + b * y + math.sqrt(var) * noise, endpoint
+    cfg: SamplerConfig,
+    uniforms: np.ndarray | None,
+    noise: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One marginal-conditioned bridge step from level u_k down to u_next.
 
-
-def ddpm_step(
-    y: np.ndarray,
-    u_k: float,
-    u_next: float,
-    pred: MarginalPredictor,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One frozen conditional-mean bridge step (endpoint mean, same bridge)."""
-    y = np.asarray(y, dtype=float)
-    m = pred.marginals_batch(y[None, :], u_k)[0].reshape(-1)
-    a, b, var = reverse_step_coeffs(u_next, u_k)
-    if var == 0.0:
-        return a * m + b * y
-    noise = rng.standard_normal(y.size)
-    return a * m + b * y + math.sqrt(var) * noise
-
-
-# below this flow-matching time the noise level saturates double precision,
-# so predictor queries are clamped there (contraction ~ 2e-22)
-_MIN_FM_TIME = 1e-21
-
-
-def ode_step(
-    y_fm: np.ndarray,
-    t_k: float,
-    t_next: float,
-    pred: MarginalPredictor,
-) -> np.ndarray:
-    """One Euler probability-flow update in the flow-matching convention.
-
-    The predictor works in the noise-level convention, so the query state is
-    scale * y_fm at the level that maps to t_k; t_k = 0 queries at the
-    pure-noise clamp level.
+    Each row of ``states`` (n, L*V) samples a one-hot endpoint from its
+    temperature/nucleus-transformed marginals with ``uniforms`` (n, L), then
+    takes the analytic bridge toward it with ``noise`` (n, L*V), which is
+    unused when the step has zero variance. Every step function shares this
+    signature and returns (next states, the rows it used, sampled tokens or
+    None).
     """
-    if not 0.0 <= t_k < t_next <= 1.0:
-        raise ValueError(f"need 0 <= t_k < t_next <= 1, got {t_k}, {t_next}")
-    y_fm = np.asarray(y_fm, dtype=float)
-    u = fm_time_inverse(max(t_k, _MIN_FM_TIME))
-    _, scale = fm_time_map(u)
-    delta = pred.marginals_batch(scale * y_fm[None, :], u)[0].reshape(-1)
-    return ((1.0 - t_next) * y_fm + (t_next - t_k) * delta) / (1.0 - t_k)
+    a, b, var = reverse_step_coeffs(u_next, u_k)
+    rows = pred.marginals_batch(states, u_k)
+    rows = nucleus_rows(temperature_rows(rows, cfg.temperature), cfg.nucleus_p)
+    tokens = _sample_categorical_rows(rows, uniforms)
+    return _with_noise(a * onehot(tokens, pred.vocab) + b * states, var, noise), rows, tokens
 
 
-def sde_step(
-    y: np.ndarray,
-    t: float,
-    t_next: float,
-    pred: MarginalPredictor,
-    horizon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One Euler-Maruyama step of the reverse diffusion dY = (Y + 2 s) dt + sqrt(2) dB."""
-    if not 0.0 <= t <= t_next:
-        raise ValueError(f"need 0 <= t <= t_next, got {t}, {t_next}")
-    if t_next >= horizon:
-        raise ValueError("step crosses the zero-noise singularity; stop at a positive level")
-    y = np.asarray(y, dtype=float)
-    if t_next == t:
-        return y.copy()
-    u = horizon - t
-    co = ou_coeffs(u)
-    m = pred.marginals_batch(y[None, :], u)[0].reshape(-1)
-    score = (co.c * m - y) / co.sigma2
-    h = t_next - t
-    return y + h * (y + 2.0 * score) + math.sqrt(2.0 * h) * rng.standard_normal(y.size)
+def ddpm_step(states, u_k, u_next, pred, cfg, uniforms, noise):
+    """One frozen conditional-mean bridge step (endpoint mean, same bridge)."""
+    a, b, var = reverse_step_coeffs(u_next, u_k)
+    rows = pred.marginals_batch(states, u_k)
+    return _with_noise(a * rows.reshape(states.shape) + b * states, var, noise), rows, None
+
+
+def ode_step(states, u_k, u_next, pred, cfg, uniforms, noise):
+    """One Euler probability-flow update, run in the flow-matching convention.
+
+    ``states`` are flow-matching states at the time t_k that level u_k maps
+    to (u_next = 0 maps to t = 1). The predictor works in the noise-level
+    convention, so it is queried at scale * states.
+    """
+    if not 0.0 <= u_next < u_k:
+        raise ValueError(f"need 0 <= u_next < u_k, got u_next={u_next}, u_k={u_k}")
+    t_k, scale = fm_time_map(u_k)
+    t_next = fm_time_map(u_next)[0] if u_next > 0.0 else 1.0
+    rows = pred.marginals_batch(scale * states, u_k)
+    return ((1.0 - t_next) * states + (t_next - t_k) * rows.reshape(states.shape)) / (1.0 - t_k), rows, None
+
+
+def sde_step(states, u_k, u_next, pred, cfg, uniforms, noise):
+    """One Euler-Maruyama step of the reverse diffusion, h = u_k - u_next:
+    Y + h (Y + 2 score) + sqrt(2 h) noise, with the posterior-mean score."""
+    if not 0.0 < u_next <= u_k:
+        raise ValueError(f"need 0 < u_next <= u_k (the zero-noise level is singular), got {u_next}, {u_k}")
+    h = u_k - u_next
+    rows = pred.marginals_batch(states, u_k)
+    score = tweedie_score(states, u_k, rows.reshape(states.shape))
+    return _with_noise(states + h * (states + 2.0 * score), 2.0 * h, noise), rows, None
 
 
 # Steps per block of per-chain draws. A fixed constant, never derived from n
@@ -242,121 +197,70 @@ def _segment_draws(
             )
 
 
+def _bridge_variance(u_k: float, u_next: float) -> float:
+    return reverse_step_coeffs(u_next, u_k)[2]
+
+
+# method -> (step, per-step noise variance, draws endpoint uniforms?)
+_METHODS = {
+    "mcb": (mcb_step, _bridge_variance, True),
+    "ddpm": (ddpm_step, _bridge_variance, False),
+    "ode": (ode_step, lambda u_k, u_next: 0.0, False),
+    "sde": (sde_step, lambda u_k, u_next: 2.0 * (u_k - u_next), False),
+}
+
+
+def _checked_step(k: int, step, states: np.ndarray, u_k: float, u_next: float, pred, cfg, uniforms, noise):
+    """Run one step; a failure, or rows that are not row-stochastic, raises StepFailed(k, u_k)."""
+    try:
+        states, rows, tokens = step(states, u_k, u_next, pred, cfg, uniforms, noise)
+        # NaN fails both comparisons and an inf entry the row sum, so non-finite rows fail too
+        if not (rows.min() >= 0.0 and np.abs(np.einsum("...v->...", rows) - 1.0).max() <= _ROW_TOL):
+            raise ValueError("predicted rows are not finite, nonnegative and summing to 1")
+    except Exception as exc:
+        raise StepFailed(k, u_k, exc) from exc
+    return states, rows, tokens
+
+
 def _run_lockstep(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     rngs: list[np.random.Generator],
     with_trace: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[ChainTrace] | None]:
-    """Advance all chains together; chain i draws only from rngs[i].
-
-    Chain i's draw order: its start state; then per segment of _DRAW_STEPS
-    steps the endpoint uniforms (mcb only) and the noise of the steps with
-    nonzero variance (see _segment_draws); last, sde_exact_final's uniforms.
-    ode draws only the start state.
-    """
+    """Advance all chains together; chain i draws only from rngs[i], in the
+    order the module docstring gives."""
     n = len(rngs)
-    dim = pred.vocab * pred.length
     vocab, length = pred.vocab, pred.length
-    states = np.empty((n, dim))
+    states = np.empty((n, vocab * length))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=states[i])
-    traces: list[ChainTrace] | None = [ChainTrace() for _ in range(n)] if with_trace else None
-    last_tokens: np.ndarray | None = None
-    pairs = cfg.grid.pairs()
-
     if cfg.method == "ode":
-        fm_times = [fm_time_map(u)[0] for u in cfg.grid.levels[:-1]] + [1.0]
-        _, scale0 = fm_time_map(cfg.grid.horizon)
-        states /= scale0
-        for k in range(cfg.grid.steps):
-            t_k, t_next = fm_times[k], fm_times[k + 1]
-            u = cfg.grid.levels[k]
-            try:
-                _, scale = fm_time_map(u)
-                rows = pred.marginals_batch(scale * states, u)
-                delta = rows.reshape(n, dim)
-                states = ((1.0 - t_next) * states + (t_next - t_k) * delta) / (1.0 - t_k)
-            except Exception as exc:
-                raise StepFailed(k, u, exc) from exc
-            if traces is not None:
-                ent = _row_entropy_mean(rows)
-                for i in range(n):
-                    traces[i].records.append(
-                        StepRecord(step=k, level=u, state=states[i].copy(), entropy_mean=float(ent[i]))
-                    )
-        final = states
-
-    elif cfg.method == "sde":
-        # Euler-Maruyama noise variance 2h per step
-        draws = _segment_draws(rngs, [2.0 * (u_k - u_next) for u_k, u_next in pairs], length, dim, False)
-        for k, ((u_k, u_next), (_, noise)) in enumerate(zip(pairs, draws)):
-            try:
-                h = u_k - u_next
-                co = ou_coeffs(u_k)
-                rows = pred.marginals_batch(states, u_k)
-                m = rows.reshape(n, dim)
-                score = (co.c * m - states) / co.sigma2
-                states = states + h * (states + 2.0 * score) + math.sqrt(2.0 * h) * noise
-            except Exception as exc:
-                raise StepFailed(k, u_k, exc) from exc
-            if traces is not None:
-                ent = _row_entropy_mean(rows)
-                for i in range(n):
-                    traces[i].records.append(
-                        StepRecord(step=k, level=u_k, state=states[i].copy(), entropy_mean=float(ent[i]))
-                    )
-        if cfg.sde_exact_final:
-            # one exact bridge-to-endpoint step from the floor level to 0
-            u_floor = cfg.grid.terminal
-            rows = pred.marginals_batch(states, u_floor)
-            uniforms = np.empty((n, length))
-            for i, rng in enumerate(rngs):
-                rng.random(out=uniforms[i])
-            tokens = _sample_categorical_rows(rows, uniforms)
-            states = _onehot_from_tokens(tokens, vocab)
-            last_tokens = tokens
-        final = states
-
-    else:  # mcb / ddpm
-        coeffs = [reverse_step_coeffs(u_next, u_k) for u_k, u_next in pairs]
-        draws = _segment_draws(rngs, [var for _, _, var in coeffs], length, dim, cfg.method == "mcb")
-        for k, ((u_k, _), (uniforms, noise)) in enumerate(zip(pairs, draws)):
-            try:
-                rows = pred.marginals_batch(states, u_k)
-                endpoints = None
-                if cfg.method == "mcb":
-                    rows = nucleus_rows(temperature_rows(rows, cfg.temperature), cfg.nucleus_p)
-                    tokens = _sample_categorical_rows(rows, uniforms)
-                    target = _onehot_from_tokens(tokens, vocab)
-                    endpoints = tokens
-                    last_tokens = tokens
-                else:
-                    target = rows.reshape(n, dim)
-                a, b, var = coeffs[k]
-                if noise is None:
-                    states = a * target + b * states
-                else:
-                    states = a * target + b * states + math.sqrt(var) * noise
-            except Exception as exc:
-                raise StepFailed(k, u_k, exc) from exc
-            if traces is not None:
-                ent = _row_entropy_mean(rows)
-                for i in range(n):
-                    ep = None
-                    if endpoints is not None:
-                        ep = TokenSequence(tokens=tuple(int(t) for t in endpoints[i]), vocab=vocab)
-                    traces[i].records.append(
-                        StepRecord(
-                            step=k, level=u_k, state=states[i].copy(), entropy_mean=float(ent[i]), endpoint=ep
-                        )
-                    )
-        final = states
-
-    decoded = np.argmax(final.reshape(n, length, vocab), axis=2)
-    if cfg.method == "mcb" and cfg.grid.terminal == 0.0 and last_tokens is not None:
-        decoded = last_tokens
-    return final, decoded, traces
+        states /= fm_time_map(cfg.grid.horizon)[1]
+    step, noise_var, with_uniforms = _METHODS[cfg.method]
+    pairs = cfg.grid.pairs()
+    draws = _segment_draws(rngs, [noise_var(*pair) for pair in pairs], length, states.shape[1], with_uniforms)
+    traces: list[ChainTrace] | None = [ChainTrace() for _ in range(n)] if with_trace else None
+    tokens = None
+    for k, ((u_k, u_next), (uniforms, noise)) in enumerate(zip(pairs, draws)):
+        states, rows, tokens = _checked_step(k, step, states, u_k, u_next, pred, cfg, uniforms, noise)
+        if traces is not None:
+            ent = row_entropy(rows).mean(axis=-1)
+            for i in range(n):
+                ep = None if tokens is None else TokenSequence(tokens=tuple(int(t) for t in tokens[i]), vocab=vocab)
+                traces[i].records.append(
+                    StepRecord(step=k, level=u_k, state=states[i].copy(), entropy_mean=float(ent[i]), endpoint=ep)
+                )
+    if cfg.method == "sde" and cfg.sde_exact_final:
+        # one exact bridge step from the floor level to a one-hot endpoint at 0:
+        # an mcb step on the untransformed rows, its uniforms drawn last
+        ((uniforms, _),) = _segment_draws(rngs, [0.0], length, states.shape[1], True)
+        plain = replace(cfg, temperature=1.0, nucleus_p=1.0)
+        states, _, tokens = _checked_step(
+            cfg.grid.steps, mcb_step, states, cfg.grid.terminal, 0.0, pred, plain, uniforms, None
+        )
+    decoded = tokens if tokens is not None else np.argmax(states.reshape(n, length, vocab), axis=2)
+    return states, decoded, traces
 
 
 def _token_sequences(decoded: np.ndarray, vocab: int) -> list[TokenSequence]:
@@ -370,10 +274,21 @@ def run_chain(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, TokenSequence, ChainTrace | None]:
-    """Run one chain from a standard-normal start over the configured grid."""
-    final, decoded, traces = _run_lockstep(cfg, pred, [rng], with_trace=cfg.trace)
-    return final[0], _token_sequences(decoded, pred.vocab)[0], traces[0] if traces is not None else None
+) -> tuple[np.ndarray, TokenSequence, ChainTrace]:
+    """Run one chain from a standard-normal start over the configured grid.
+
+    A solo chain is the inspection path, so its per-step records are kept.
+    """
+    final, decoded, traces = _run_lockstep(cfg, pred, [rng], with_trace=True)
+    return final[0], _token_sequences(decoded, pred.vocab)[0], traces[0]
+
+
+def _sample(cfg: SamplerConfig, pred: MarginalPredictor, n: int, with_trace: bool):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
+    final, decoded, traces = _run_lockstep(cfg, pred, rngs, with_trace)
+    return _token_sequences(decoded, pred.vocab), final, traces
 
 
 def batch_sample(
@@ -387,14 +302,8 @@ def batch_sample(
     Output order matches chain index, and each chain's output is unchanged
     when n grows because streams are derived per index, not sequentially.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
-    final, decoded, _ = _run_lockstep(cfg, pred, rngs, with_trace=False)
-    seqs = _token_sequences(decoded, pred.vocab)
-    if return_states:
-        return seqs, final
-    return seqs
+    seqs, final, _ = _sample(cfg, pred, n, with_trace=False)
+    return (seqs, final) if return_states else seqs
 
 
 def batch_sample_traced(
@@ -403,10 +312,4 @@ def batch_sample_traced(
     n: int,
 ) -> tuple[list[TokenSequence], np.ndarray, list[ChainTrace]]:
     """batch_sample with per-step records kept (identical streams)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
-    final, decoded, traces = _run_lockstep(cfg, pred, rngs, with_trace=True)
-    seqs = _token_sequences(decoded, pred.vocab)
-    assert traces is not None
-    return seqs, final, traces
+    return _sample(cfg, pred, n, with_trace=True)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 from helpers import brute_filtered_mean, forward_state
 
-from mcbridge.discrete import encode, make_joint
+from mcbridge.discrete import encode, make_joint, onehot
 from mcbridge.kernels import NoiseGrid, reverse_step_coeffs
 from mcbridge.metrics import (
     denoising_gap,
@@ -35,7 +35,6 @@ from mcbridge.oracle import (
 from mcbridge.predictors import TrainConfig, train_predictor
 from mcbridge.samplers import (
     SamplerConfig,
-    _onehot_from_tokens,
     _sample_categorical_rows,
     batch_sample,
 )
@@ -118,7 +117,7 @@ def test_criterion_3_one_step_moments():
         a, b, var = reverse_step_coeffs(u_next, u_k)
         n = 100_000
         toks = _sample_categorical_rows(np.broadcast_to(rows, (n, 2, 3)), rng.random((n, 2)))
-        draws = a * _onehot_from_tokens(toks, 3) + b * y + math.sqrt(var) * rng.standard_normal((n, 6))
+        draws = a * onehot(toks, 3) + b * y + math.sqrt(var) * rng.standard_normal((n, 6))
         analytic_mean = a * rows.reshape(-1) + b * y
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - analytic_mean) < 4 * se)

@@ -240,6 +240,23 @@ class TestVerify:
         assert len(rows) == 4 * 3  # gap_steps x default 3 nodes
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "doc, key",
+        [({"steps": [1]}, "steps"), ({"chains": None}, "chains"), ({"temperature": "hot"}, "temperature"),
+         ({"chains": 2.5}, "chains"), ({"seed": True}, "seed")],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, copy_dist, capsys, doc, key):
+        cfg = _write_config(tmp_path, doc)
+        code = main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_int_accepted_for_float_default(self, tmp_path, copy_dist):
+        cfg = _write_config(tmp_path, {"temperature": 1, "horizon": 6, "steps": 2, "chains": 4})
+        assert main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
 class TestFlagOverridesConfig:
     def test_flag_wins(self, tmp_path):
         cfg = _write_config(tmp_path, {"kind": "uniform", "vocab": 2, "length": 1})

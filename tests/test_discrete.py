@@ -14,7 +14,9 @@ from mcbridge.discrete import (
     enumerate_sequences,
     index_matrix,
     make_joint,
+    onehot,
     onehot_matrix,
+    token_index,
 )
 
 
@@ -72,6 +74,16 @@ class TestEnumeration:
         assert abs(nu.probs.sum() - 1.0) < 1e-12
         with pytest.raises(EnumerationLimitError):
             make_joint("uniform", 9, 4)
+
+    @pytest.mark.parametrize("vocab, length", [(3, 2), (4, 3)])
+    def test_onehot_and_token_index_match_encode(self, vocab, length):
+        seqs = enumerate_sequences(vocab, length)
+        toks = np.array([s.tokens for s in seqs])
+        for seq, row in zip(seqs, toks):
+            np.testing.assert_array_equal(onehot(row, vocab), encode(seq))
+            assert token_index(row, vocab) == seq.index
+        np.testing.assert_array_equal(onehot(toks, vocab), np.stack([encode(s) for s in seqs]))
+        np.testing.assert_array_equal(token_index(toks, vocab), [s.index for s in seqs])
 
     def test_onehot_matrix_rows(self):
         mat = onehot_matrix(3, 2)

@@ -262,6 +262,11 @@ class TestKernelDensities:
         got = true_kernel_logdensity(copy3x2, y, 0.5, 0.0, z)
         np.testing.assert_allclose(got, math.log(post.probs[4]), rtol=1e-12)
         assert true_kernel_logdensity(copy3x2, y, 0.5, 0.0, z + 1e-3) == -math.inf
+        # the factorized kernel puts the product of the token marginals on sequence 4 = (1, 1)
+        marg = token_marginals(post)
+        got = mcb_kernel_logdensity(marg, y, 0.5, 0.0, z)
+        np.testing.assert_allclose(got, math.log(marg.probs[0, 1] * marg.probs[1, 1]), rtol=1e-12)
+        assert mcb_kernel_logdensity(marg, y, 0.5, 0.0, z + 1e-3) == -math.inf
 
     def test_mcb_matches_true_for_single_position(self):
         nu = make_joint("dirichlet", 3, 1, seed=8)

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from helpers import forward_state, sample_cov_se
 
-from mcbridge.discrete import encode, make_joint
-from mcbridge.kernels import NoiseGrid, ou_coeffs, reverse_step_coeffs
+from mcbridge.discrete import TokenSequence, encode, make_joint, onehot
+from mcbridge.kernels import NoiseGrid, fm_time_inverse, ou_coeffs, reverse_step_coeffs
 from mcbridge.metrics import empirical_tv, tv_noise_scale
 from mcbridge.predictors import MarginalPredictor, OraclePredictor
 from mcbridge.samplers import (
     SamplerConfig,
     StepFailed,
-    _onehot_from_tokens,
     _sample_categorical_rows,
     batch_sample,
     batch_sample_traced,
@@ -48,21 +47,27 @@ class RawPredictor(MarginalPredictor):
         return np.broadcast_to(self.rows, (states.shape[0],) + self.rows.shape).copy()
 
 
+# config for direct step calls; the steps read only temperature and nucleus_p
+_CFG = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 4), method="mcb")
+
+
 class TestMcbStep:
     def test_terminal_step_is_exact_onehot(self, copy_oracle):
         rng = derive_rng(0, "m1")
-        y = rng.standard_normal(6)
-        y_next, endpoint = mcb_step(y, 0.5, 0.0, copy_oracle, 1.0, 1.0, rng)
-        np.testing.assert_array_equal(y_next, encode(endpoint))
+        y = rng.standard_normal((1, 6))
+        y_next, _, toks = mcb_step(y, 0.5, 0.0, copy_oracle, _CFG, rng.random((1, 2)), None)
+        endpoint = TokenSequence(tokens=tuple(int(t) for t in toks[0]), vocab=3)
+        np.testing.assert_array_equal(y_next[0], encode(endpoint))
         assert set(np.unique(y_next)) <= {0.0, 1.0}
 
     def test_point_mass_marginals(self):
         rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         pred = FixedPredictor(rows)
         rng = derive_rng(1, "m2")
-        for _ in range(20):
-            _, endpoint = mcb_step(np.zeros(6), 1.0, 0.5, pred, 1.0, 1.0, rng)
-            assert endpoint.tokens == (1, 2)
+        n = 20
+        uniforms, noise = rng.random((n, 2)), rng.standard_normal((n, 6))
+        _, _, toks = mcb_step(np.zeros((n, 6)), 1.0, 0.5, pred, _CFG, uniforms, noise)
+        assert all(tuple(row) == (1, 2) for row in toks)
 
     def test_empirical_mean_matches_analytic(self, copy3x2, copy_oracle):
         # one-step law: mean must equal a*pi + b*y (the frozen-mean value)
@@ -73,24 +78,26 @@ class TestMcbStep:
         rows = copy_oracle.marginals_batch(y[None, :], u_k)[0]
         a, b, var = reverse_step_coeffs(u_next, u_k)
         n = 100_000
-        toks = _sample_categorical_rows(np.broadcast_to(rows, (n, 2, 3)), rng.random((n, 2)))
-        draws = a * _onehot_from_tokens(toks, 3) + b * y + math.sqrt(var) * rng.standard_normal((n, 6))
+        states = np.broadcast_to(y, (n, 6))
+        uniforms, noise = rng.random((n, 2)), rng.standard_normal((n, 6))
+        draws, _, _ = mcb_step(states, u_k, u_next, copy_oracle, _CFG, uniforms, noise)
         analytic = a * rows.reshape(-1) + b * y
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - analytic) < 4 * se)
 
     def test_rejects_bad_levels(self, copy_oracle):
+        rng = derive_rng(0, "x")
         with pytest.raises(ValueError):
-            mcb_step(np.zeros(6), 0.5, 0.5, copy_oracle, 1.0, 1.0, derive_rng(0, "x"))
+            mcb_step(np.zeros((1, 6)), 0.5, 0.5, copy_oracle, _CFG, rng.random((1, 2)), None)
 
 
 class TestDdpmStep:
     def test_terminal_step_is_mean(self, copy_oracle):
         rng = derive_rng(3, "d1")
-        y = rng.standard_normal(6)
-        y_next = ddpm_step(y, 0.5, 0.0, copy_oracle, rng)
-        expect = copy_oracle.marginals_batch(y[None, :], 0.5)[0].reshape(-1)
-        np.testing.assert_array_equal(y_next, expect)
+        y = rng.standard_normal((1, 6))
+        y_next, _, _ = ddpm_step(y, 0.5, 0.0, copy_oracle, _CFG, None, None)
+        expect = copy_oracle.marginals_batch(y, 0.5)[0].reshape(-1)
+        np.testing.assert_array_equal(y_next[0], expect)
         np.testing.assert_allclose(y_next.reshape(2, 3).sum(axis=1), 1.0, atol=1e-12)
 
     def test_same_conditional_mean_as_mcb(self):
@@ -112,9 +119,9 @@ class TestDdpmStep:
         u_k, u_next = 1.0, 0.5
         a, b, var = reverse_step_coeffs(u_next, u_k)
         n = 100_000
-        toks = _sample_categorical_rows(np.broadcast_to(rows, (n, 2, 3)), rng.random((n, 2)))
-        mcb = a * _onehot_from_tokens(toks, 3) + b * y + math.sqrt(var) * rng.standard_normal((n, 6))
-        ddpm = a * rows.reshape(-1) + b * y + math.sqrt(var) * rng.standard_normal((n, 6))
+        states = np.broadcast_to(y, (n, 6))
+        mcb, _, _ = mcb_step(states, u_k, u_next, pred, _CFG, rng.random((n, 2)), rng.standard_normal((n, 6)))
+        ddpm, _, _ = ddpm_step(states, u_k, u_next, pred, _CFG, None, rng.standard_normal((n, 6)))
         cov_mcb = np.cov(mcb.T)
         cov_ddpm = np.cov(ddpm.T)
         surplus = np.zeros((6, 6))
@@ -128,17 +135,17 @@ class TestDdpmStep:
 
 class TestOdeStep:
     def test_fixed_point(self):
-        y_fm = np.array([[0.2, 0.8], [0.5, 0.5]]).reshape(-1)
+        y_fm = np.array([[0.2, 0.8], [0.5, 0.5]]).reshape(1, -1)
         pred = RawPredictor(y_fm.reshape(2, 2))
-        got = ode_step(y_fm, 0.3, 0.7, pred)
+        got, _, _ = ode_step(y_fm, fm_time_inverse(0.3), fm_time_inverse(0.7), pred, _CFG, None, None)
         np.testing.assert_allclose(got, y_fm, atol=1e-12)
 
     def test_terminal_collapse_onto_denoiser(self):
         rows = np.array([[0.1, 0.9], [0.7, 0.3]])
         pred = RawPredictor(rows)
-        y_fm = np.full(4, 0.25)
-        got = ode_step(y_fm, 0.4, 1.0, pred)
-        np.testing.assert_allclose(got, rows.reshape(-1), atol=1e-12)
+        y_fm = np.full((1, 4), 0.25)
+        got, _, _ = ode_step(y_fm, fm_time_inverse(0.4), 0.0, pred, _CFG, None, None)
+        np.testing.assert_allclose(got[0], rows.reshape(-1), atol=1e-12)
 
     def test_single_step_from_pure_noise_uniform_law(self, uniform3x2):
         # One Euler step across the whole path lands on the denoiser mean at
@@ -149,16 +156,17 @@ class TestOdeStep:
         np.testing.assert_allclose(final, 1.0 / 3.0, atol=1e-6)
 
     def test_rejects_t_one(self):
+        # level 0 is flow-matching time t = 1, where no step can start
         pred = RawPredictor(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            ode_step(np.zeros(2), 1.0, 1.0, pred)
+            ode_step(np.zeros((1, 2)), 0.0, 0.0, pred, _CFG, None, None)
 
 
 class TestSdeStep:
     def test_zero_width_step_is_identity(self):
         pred = RawPredictor(np.array([[0.5, 0.5]]))
-        y = np.array([0.3, -0.4])
-        got = sde_step(y, 0.5, 0.5, pred, 6.0, derive_rng(0, "s"))
+        y = np.array([[0.3, -0.4]])
+        got, _, _ = sde_step(y, 5.5, 5.5, pred, _CFG, None, None)
         np.testing.assert_array_equal(got, y)
 
     def test_zero_score_pure_diffusion_variance(self):
@@ -168,7 +176,7 @@ class TestSdeStep:
         rng = derive_rng(5, "s2")
         h = 0.07
         n = 20_000
-        draws = np.stack([sde_step(np.zeros(3), 1.0, 1.0 + h, pred, 6.0, rng) for _ in range(n)])
+        draws, _, _ = sde_step(np.zeros((n, 3)), 5.0, 5.0 - h, pred, _CFG, None, rng.standard_normal((n, 3)))
         se_mean = math.sqrt(2 * h / n)
         assert np.all(np.abs(draws.mean(axis=0)) < 4 * se_mean)
         var = draws.var(axis=0, ddof=1)
@@ -181,21 +189,23 @@ class TestSdeStep:
         rng = derive_rng(6, "s3")
         y = np.array([1.0, -2.0])
         h = 0.05
-        t = 0.5
-        horizon = 12.0  # u = 11.5, sigma2 ~ 1, c ~ 0
-        u = horizon - t
+        u = 11.5  # sigma2 ~ 1, c ~ 0
         sigma2 = -math.expm1(-2 * u)
         factor = 1.0 + h * (1.0 - 2.0 / sigma2)
         assert abs(factor) < 1.0
-        n = 20_000
-        draws = np.stack([sde_step(y, t, t + h, pred, horizon, rng) for _ in range(200)])
+        n = 200
+        states = np.broadcast_to(y, (n, 2))
+        draws, _, _ = sde_step(states, u, u - h, pred, _CFG, None, rng.standard_normal((n, 2)))
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - factor * y), 4 * se)
 
     def test_rejects_crossing_the_floor(self):
+        # a step may not reach the zero-noise level, where the score is singular
         pred = RawPredictor(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            sde_step(np.zeros(2), 5.99, 6.01, pred, 6.0, derive_rng(0, "s4"))
+        noise = derive_rng(0, "s4").standard_normal((1, 2))
+        for u_next in (0.0, -0.01):
+            with pytest.raises(ValueError):
+                sde_step(np.zeros((1, 2)), 0.01, u_next, pred, _CFG, None, noise)
 
 
 class TestRunChain:
@@ -231,9 +241,9 @@ class TestRunChain:
         assert empirical_tv(seqs, uniform3x2) < 0.05
 
     def test_trace_record_count(self, copy_oracle):
-        cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 5), method="mcb", seed=17, trace=True)
+        cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 5), method="mcb", seed=17)
         _, _, trace = run_chain(cfg, copy_oracle, derive_rng(17, "chain", 0))
-        assert trace is not None and len(trace) == 5
+        assert len(trace) == 5
         assert all(rec.endpoint is not None for rec in trace.records)
 
     def test_step_errors_carry_the_step_index(self):
@@ -270,7 +280,7 @@ class TestRunChain:
             noise = iter(rng.standard_normal((sum(var != 0.0 for *_, var in seg), 6)))
             for (a, b, var), u in zip(seg, uniforms):
                 toks = _sample_categorical_rows(rows[None], u[None])
-                y = a * _onehot_from_tokens(toks, 3)[0] + b * y
+                y = a * onehot(toks, 3)[0] + b * y
                 if var != 0.0:
                     y = y + math.sqrt(var) * next(noise)
         np.testing.assert_allclose(final, y, rtol=0.0, atol=1e-12)
@@ -291,7 +301,7 @@ class TestRunChain:
             co = ou_coeffs(u_k)
             y = y + h * (y + 2.0 * (co.c * rows.reshape(-1) - y) / co.sigma2) + math.sqrt(2.0 * h) * z
         toks = _sample_categorical_rows(rows[None], rng.random((1, 2)))
-        for exact_final, expect in ((False, y), (True, _onehot_from_tokens(toks, 3)[0])):
+        for exact_final, expect in ((False, y), (True, onehot(toks, 3)[0])):
             cfg = SamplerConfig(grid=grid, method="sde", seed=27, sde_exact_final=exact_final)
             final, _, _ = run_chain(cfg, FixedPredictor(rows), derive_rng(27, "chain", 2))
             np.testing.assert_allclose(final, expect, rtol=0.0, atol=1e-12)
@@ -356,6 +366,15 @@ class TestBatchSample:
         seqs = batch_sample(cfg, pred, n)
         noise_mean, noise_sd = tv_noise_scale(nu, n)
         assert empirical_tv(seqs, nu) < noise_mean + 4 * noise_sd + 0.01
+
+    @pytest.mark.parametrize("method", ["mcb", "ddpm", "ode", "sde"])
+    def test_nan_rows_fail_with_step_and_level(self, method):
+        cfg = self._config(method, 11, 28)
+        # NaN rows, and finite rows that sum to 1.2
+        for value in (np.nan, 0.4):
+            with pytest.raises(StepFailed) as err:
+                batch_sample(cfg, FixedPredictor(np.full((2, 3), value)), 4)
+            assert (err.value.step, err.value.level) == (0, cfg.grid.horizon)
 
     def test_traced_variant_matches(self, copy_oracle):
         cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 4), method="mcb", seed=22)
