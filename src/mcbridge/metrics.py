@@ -30,8 +30,8 @@ from .oracle import (
     factorized_posterior,
     filtered_endpoint_means,
     joint_posterior,
-    joint_posterior_probs,
     multi_information,
+    posterior_marginals,
     row_entropy,
     token_marginals,
 )
@@ -303,11 +303,9 @@ def denoising_gap(
             co_d = ou_coeffs(u_k - u)
             x_uk = co_d.c * x_u + co_d.sigma * rng.standard_normal(x0.shape)
 
-            post_u = joint_posterior_probs(nu, u, x_u, onehot)
-            m_u = post_u @ onehot
-            post_uk = joint_posterior_probs(nu, u_k, x_uk, onehot)
-            m_uk = post_uk @ onehot
-            prior_rows = m_uk.reshape(n_mc, nu.length, nu.vocab)
+            m_u = posterior_marginals(nu, u, x_u).reshape(n_mc, -1)
+            prior_rows = posterior_marginals(nu, u_k, x_uk)
+            m_uk = prior_rows.reshape(n_mc, -1)
             m_bar = filtered_endpoint_means(prior_rows, x_u, x_uk, u, u_k).reshape(n_mc, -1)
 
             ddpm_sq = ((m_u - m_uk) ** 2).sum(axis=1)

@@ -7,9 +7,9 @@ multi-information, the coordinate-wise endpoint filter, and exact densities
 of the one-step reverse kernels (true posterior-predictive vs. the
 marginal-factorized replacement).
 
-All posterior math runs in log space with log-sum-exp; the contraction-to-
-variance ratio c_t/sigma_t^2 explodes at small t and would overflow plain
-exponentials.
+All posterior math runs in log space and is shifted by the maximum before
+exponentiating; the contraction-to-variance ratio c_t/sigma_t^2 explodes at
+small t and would overflow plain exponentials.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _ROW_TOL = 1e-10
 
 
 class DegeneratePosteriorError(RuntimeError):
-    """Every enumerated sequence has zero posterior weight."""
+    """The posterior cannot be normalized: its logits overflow float64."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,89 @@ def _log_table(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
-def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray, onehot: np.ndarray | None = None) -> np.ndarray:
-    """(n, V^L) table of exact joint clean posteriors for a batch of states.
+# Byte budget of the posterior block that ``_posterior_blocks`` reuses; at the
+# V^L = 4096 cap it holds 64 chains.
+_BLOCK_BYTES = 2 << 20
 
-    Bayes' rule with the Gaussian forward transition:
-    q(w | X_t = x) propto nu(w) * exp(-|x - c_t e(w)|^2 / (2 sigma_t^2)).
-    Squared distances expand to a single matrix product because every
-    one-hot sequence has squared norm L.
+# SIMD exp leaves its fast path just above -708 and runs 10x and more slower
+# below it; weights under e^_EXP_FLOOR (~1e-304) of their row maximum are set
+# to 0 instead, which moves no row sum.
+_EXP_FLOOR = -700.0
+
+
+def _sequence_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (V^L, m) with sum_l x[l, w_l, :] for every big-endian index w.
+
+    The table is built in place from the last position to the first, so
+    each add runs over whole rows of m chains.
+    """
+    length, vocab, _ = x.shape
+    space = len(out)
+    out[space - vocab :] = x[-1]
+    width = vocab
+    for pos in range(length - 2, -1, -1):
+        tail = out[space - width :]
+        base = space - width * vocab
+        # the last slice is the tail itself, so it is written after the others read it
+        for v in range(vocab):
+            np.add(tail, x[pos, v], out=out[base + v * width : base + (v + 1) * width])
+        width *= vocab
+    return out
+
+
+def _table_marginals(probs: np.ndarray, length: int, vocab: int) -> np.ndarray:
+    """(L, V, m) per-position marginals of the columns of ``probs`` (V^L, m).
+
+    Positions are summed out one at a time from the front; each position's
+    row is then renormalized against accumulated rounding.
+    """
+    m = probs.shape[1]
+    out = np.empty((length, vocab, m))
+    rest = probs
+    for pos in range(length):
+        blocks = rest.reshape(vocab, -1, m)
+        blocks.sum(axis=1, out=out[pos])
+        if pos < length - 1:
+            rest = blocks.sum(axis=0)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _posterior_into(t: float, x: np.ndarray, log_prior: np.ndarray, flush: bool, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (V^L, m) with the normalized joint posterior of each column.
+
+    x holds the m states scaled by c_t/sigma_t^2, as (L, V, m). Every step
+    works in place on ``out``: logits, a shift by the column maximum, one exp
+    and a division by the column sum, so no temporary of the table's size is
+    made. With ``flush`` set, logits below _EXP_FLOOR give weight 0; without
+    it, the caller has bounded them away.
+    """
+    _sequence_sums(x, out)
+    out += log_prior[:, None]
+    shift = out.max(axis=0)
+    if not np.all(np.isfinite(shift)):
+        raise DegeneratePosteriorError(f"posterior logits overflow float64 at level {t!r}")
+    out -= shift
+    if flush:
+        low = out < _EXP_FLOOR
+        np.maximum(out, _EXP_FLOOR, out=out)
+        np.exp(out, out=out)
+        out[low] = 0.0
+    else:
+        np.exp(out, out=out)
+    out /= out.sum(axis=0)
+    return out
+
+
+def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
+    """Yield (lo, hi, table): the normalized joint posterior of states[lo:hi]
+    as the first hi - lo columns of a (V^L, hi - lo + 1) table.
+
+    Blocks hold at most ``_BLOCK_BYTES`` of chains (one chain if a row is
+    larger) and reuse one buffer. The last column is a spare zero state: with
+    at least two columns, numpy sums along the sequence axis one entry at a
+    time in index order (with one column it would switch to pairwise
+    summation), so a chain's values do not depend on its block or batch.
     """
     co = ou_coeffs(t)
     if co.sigma2 <= 0.0:
@@ -113,15 +189,55 @@ def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray, onehot: n
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if not np.all(np.isfinite(states)):
         raise ValueError("states must be finite")
-    if onehot is None:
-        onehot = onehot_matrix(nu.vocab, nu.length)
-    if states.shape[1] != onehot.shape[1]:
-        raise ValueError(f"state dimension {states.shape[1]} != {onehot.shape[1]}")
-    logits = _log_table(nu.probs)[None, :] + (co.c / co.sigma2) * (states @ onehot.T)
-    norm = logsumexp(logits, axis=1, keepdims=True)
-    if np.any(np.isneginf(norm)):
-        raise DegeneratePosteriorError("posterior has zero mass everywhere")
-    return np.exp(logits - norm)
+    if states.shape[1] != nu.dim:
+        raise ValueError(f"state dimension {states.shape[1]} != {nu.dim}")
+    scale = co.c / co.sigma2
+    log_prior = _log_table(nu.probs)
+    finite = log_prior[np.isfinite(log_prior)]
+    # every finite logit lies within this distance below its column maximum
+    spread = scale * nu.length * (np.ptp(states) if states.size else 0.0) + np.ptp(finite)
+    flush = not spread <= -_EXP_FLOOR
+    n, space = len(states), nu.probs.size
+    rows = max(1, _BLOCK_BYTES // (8 * space))
+    buf = np.empty((space, min(rows, n) + 1))
+    x = np.zeros((nu.dim, min(rows, n) + 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        m = hi - lo + 1
+        x[:, : m - 1] = states[lo:hi].T
+        x[:, m - 1] = 0.0
+        scaled = scale * x[:, :m].reshape(nu.length, nu.vocab, m)
+        yield lo, hi, _posterior_into(t, scaled, log_prior, flush, buf[:, :m])
+
+
+def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray) -> np.ndarray:
+    """(n, V^L) table of exact joint clean posteriors for a batch of states.
+
+    Bayes' rule with the Gaussian forward transition:
+    q(w | X_t = x) propto nu(w) * exp(-|x - c_t e(w)|^2 / (2 sigma_t^2)).
+    Squared distances reduce to <x, e(w)> = sum_l x_{l, w_l} because every
+    one-hot sequence has squared norm L.
+    """
+    states = np.atleast_2d(states)
+    out = np.empty((len(states), nu.probs.size))
+    for lo, hi, table in _posterior_blocks(nu, t, states):
+        out[lo:hi] = table[:, :-1].T
+    return out
+
+
+def posterior_marginals(nu: JointDist, t: float, states: np.ndarray) -> np.ndarray:
+    """(n, L, V) exact token posterior marginals for a batch of states.
+
+    The joint posterior is built one block of chains at a time and projected
+    straight onto the L*V marginals, so transient memory does not grow with
+    n. Every row agrees bit for bit with ``token_marginals`` of the chain's
+    ``joint_posterior``, whatever the batch or block size.
+    """
+    states = np.atleast_2d(states)
+    out = np.empty((len(states), nu.length, nu.vocab))
+    for lo, hi, table in _posterior_blocks(nu, t, states):
+        out[lo:hi] = _table_marginals(table, nu.length, nu.vocab)[:, :, :-1].transpose(2, 0, 1)
+    return out
 
 
 def joint_posterior(nu: JointDist, t: float, x: np.ndarray) -> EndpointPosterior:
@@ -132,10 +248,9 @@ def joint_posterior(nu: JointDist, t: float, x: np.ndarray) -> EndpointPosterior
 
 def token_marginals(joint: EndpointPosterior) -> MarginalTable:
     """Per-position token marginals of a sequence-space distribution."""
-    onehot = onehot_matrix(joint.vocab, joint.length)
-    rows = (joint.probs @ onehot).reshape(joint.length, joint.vocab)
-    # guard the row-sum invariant against accumulated rounding
-    rows = rows / rows.sum(axis=1, keepdims=True)
+    # two columns, as in ``_posterior_blocks``, give the batched path's sums
+    table = np.stack([joint.probs, joint.probs], axis=1)
+    rows = _table_marginals(table, joint.length, joint.vocab)[:, :, 0]
     return MarginalTable(probs=rows, level=joint.level)
 
 
@@ -263,7 +378,7 @@ def true_kernel_logdensities(
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if onehot is None:
         onehot = onehot_matrix(nu.vocab, nu.length)
-    post = joint_posterior_probs(nu, u_k, y, onehot)[0]
+    post = joint_posterior_probs(nu, u_k, y)[0]
     a, b, var = reverse_step_coeffs(u_next, u_k)
     if var == 0.0:
         toks, exact = onehot_tokens(z, nu.vocab)
@@ -335,7 +450,7 @@ def kernel_kl_estimate(
         raise ValueError(f"need n >= 1000 samples, got {n}")
     y = np.asarray(y, dtype=float)
     onehot = onehot_matrix(nu.vocab, nu.length)
-    post = joint_posterior_probs(nu, u_k, y, onehot)[0]
+    post = joint_posterior_probs(nu, u_k, y)[0]
     marg = token_marginals(EndpointPosterior(nu.vocab, nu.length, post, level=u_k))
     a, b, var = reverse_step_coeffs(u_next, u_k)
     cdf = np.cumsum(post)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, onehot, onehot_matrix
-from .oracle import MarginalTable, joint_posterior_probs, logsumexp
+from .discrete import JointDist, index_matrix, onehot
+from .oracle import MarginalTable, logsumexp, posterior_marginals
 from .seeding import derive_rng
 
 
@@ -51,12 +51,9 @@ class OraclePredictor(MarginalPredictor):
         self.nu = nu
         self.vocab = nu.vocab
         self.length = nu.length
-        self._onehot = onehot_matrix(nu.vocab, nu.length)
 
     def marginals_batch(self, states: np.ndarray, u: float) -> np.ndarray:
-        post = joint_posterior_probs(self.nu, u, states, self._onehot)
-        rows = (post @ self._onehot).reshape(-1, self.length, self.vocab)
-        return rows / rows.sum(axis=2, keepdims=True)
+        return posterior_marginals(self.nu, u, states)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,19 @@ class TestVerify:
         assert summary["all_passed"]
         assert summary["gap"]["strictly_positive"]
 
+    @pytest.mark.parametrize("seed", [0, 3, 5, 7, 39])
+    def test_product_law_bound_holds_within_rounding(self, tmp_path, product_dist, seed):
+        # KL, multi-information and SE are all 0 up to rounding on a product
+        # law; these seeds put the margin at 5e-18..8e-17 without the slack
+        doc = {**QUICK_VERIFY, "gap_steps": 1, "gap_nodes": 1, "gap_n_mc": 1000}
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "verify"
+        main(["verify", "--dist", product_dist, "--config", cfg, "--seed", str(seed), "--out", str(out)])
+        summary = json.loads((out / "verify_summary.json").read_text())
+        bound = [c for c in summary["checks"] if c["check"] == "kernel_kl_bound"][0]
+        assert bound["threshold"] == 1e-12
+        assert bound["passed"], bound
+
     def test_corrupted_distribution_fails_before_checks(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"V": 2, "L": 1, "probs": [0.7, 0.7]}))
@@ -251,6 +264,25 @@ class TestConfigTypes:
         code = main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [({"steps_list": [None]}, "steps_list"), ({"steps_list": [4, 2.5]}, "steps_list"),
+         ({"temperatures": ["hot"]}, "temperatures"), ({"methods": [1]}, "methods")],
+    )
+    def test_wrong_list_element_type_exits_2(self, tmp_path, copy_dist, capsys, doc, key):
+        cfg = _write_config(tmp_path, doc)
+        code = main(["sweep", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_unknown_key_exits_2(self, tmp_path, copy_dist, capsys):
+        cfg = _write_config(tmp_path, {"temprature": 0.5, "steps": 2, "chains": 4})
+        out = tmp_path / "r"
+        code = main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "'temprature'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int_accepted_for_float_default(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, {"temperature": 1, "horizon": 6, "steps": 2, "chains": 4})

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 from helpers import brute_filtered_mean, brute_joint_posterior, forward_state, gauss_logpdf
 
+from mcbridge import oracle
 from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix
-from mcbridge.kernels import bridge_params, reverse_step_coeffs
+from mcbridge.kernels import bridge_params, ou_coeffs, reverse_step_coeffs
 from mcbridge.oracle import (
+    DegeneratePosteriorError,
     EndpointPosterior,
     MarginalTable,
     discrete_kl,
@@ -24,10 +27,12 @@ from mcbridge.oracle import (
     logsumexp,
     mcb_kernel_logdensity,
     multi_information,
+    posterior_marginals,
     token_marginals,
     true_kernel_logdensities,
     true_kernel_logdensity,
 )
+from mcbridge.predictors import OraclePredictor
 from mcbridge.seeding import derive_rng
 
 
@@ -99,6 +104,85 @@ class TestJointPosterior:
     def test_rejects_t_zero(self, uniform3x2):
         with pytest.raises(ValueError):
             joint_posterior(uniform3x2, 0.0, np.zeros(6))
+
+
+@pytest.fixture(scope="module")
+def cap_law():
+    return make_joint("dirichlet", 4, 6, seed=3, alpha=0.8)  # V^L = 4096, the default cap
+
+
+def _forward_states(nu, t: float, n: int, rng) -> np.ndarray:
+    co = ou_coeffs(t)
+    return co.c * onehot_matrix(nu.vocab, nu.length)[nu.sample_indices(rng, n)] + co.sigma * rng.standard_normal((n, nu.dim))
+
+
+class TestPosteriorMarginals:
+    def test_rows_match_token_marginals_across_block_edges(self, cap_law):
+        block = oracle._BLOCK_BYTES // (8 * 4096)
+        rng = derive_rng(40, "blocked")
+        for n in (1, block - 1, block, block + 1, 3 * block + 5):
+            for t in (0.002, 0.5, 3.0):
+                x = _forward_states(cap_law, t, n, rng)
+                ref = np.stack([token_marginals(joint_posterior(cap_law, t, row)).probs for row in x])
+                np.testing.assert_array_equal(posterior_marginals(cap_law, t, x), ref)
+
+    def test_independent_of_block_budget(self, cap_law, monkeypatch):
+        x = _forward_states(cap_law, 0.3, 101, derive_rng(41, "budget"))
+        base = posterior_marginals(cap_law, 0.3, x)
+        for budget in (8 * 4096, 7 * 8 * 4096, 1 << 30):
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(posterior_marginals(cap_law, 0.3, x), base)
+
+    def test_matches_dense_one_hot_products(self, cap_law):
+        # the index-order sums against the plain (states @ onehot.T) formula
+        onehot = onehot_matrix(4, 6)
+        rng = derive_rng(42, "dense")
+        for t in (0.05, 1.0):
+            x = _forward_states(cap_law, t, 20, rng)
+            co = ou_coeffs(t)
+            logits = np.log(cap_law.probs) + (co.c / co.sigma2) * (x @ onehot.T)
+            dense = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+            np.testing.assert_allclose(oracle.joint_posterior_probs(cap_law, t, x), dense, rtol=1e-12, atol=1e-300)
+            rows = (dense @ onehot).reshape(20, 6, 4)
+            np.testing.assert_allclose(posterior_marginals(cap_law, t, x), rows, atol=1e-12)
+
+    def test_underflow_guard_changes_no_row(self, cap_law):
+        # a far-out companion row makes some logits fall below the exp floor
+        t = 0.05
+        rng = derive_rng(43, "flush")
+        x = _forward_states(cap_law, t, 10, rng)
+        wide = np.vstack([x, 30.0 * rng.standard_normal((1, 24))])
+        np.testing.assert_array_equal(posterior_marginals(cap_law, t, wide)[:10], posterior_marginals(cap_law, t, x))
+        probs = oracle.joint_posterior_probs(cap_law, t, wide)
+        np.testing.assert_array_equal(probs[:10], oracle.joint_posterior_probs(cap_law, t, x))
+        assert np.all(probs[:10] > 0.0)
+        # the far row's weights below e^_EXP_FLOOR of its maximum are 0, not left subnormal
+        far = probs[10]
+        assert np.any(far == 0.0)
+        assert far[far > 0.0].min() >= math.exp(oracle._EXP_FLOOR) * far.max() * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("t", [0.002, 0.5])
+    def test_peak_memory_bounded_by_block_budget(self, cap_law, t):
+        n = 4096  # one n x V^L table alone would be 128 MiB
+        x = _forward_states(cap_law, t, n, derive_rng(44, "memory"))
+        pred = OraclePredictor(cap_law)
+        tracemalloc.start()
+        try:
+            rows = pred.marginals_batch(x, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (n, 6, 4)
+        assert peak < 2 * oracle._BLOCK_BYTES + rows.nbytes
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_states_name_the_level(self, copy3x2, sign):
+        x = np.full((2, 6), sign * 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegeneratePosteriorError, match="level 1e-09"):
+                posterior_marginals(copy3x2, 1e-9, x)
+            with pytest.raises(DegeneratePosteriorError, match="level 1e-09"):
+                oracle.joint_posterior_probs(copy3x2, 1e-9, x)
 
 
 class TestTokenMarginals:
