@@ -104,8 +104,8 @@ def _log_table(p: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 2 << 20
 
 # SIMD exp leaves its fast path just above -708 and runs 10x and more slower
-# below it; weights under e^_EXP_FLOOR (~1e-304) of their row maximum are set
-# to 0 instead, which moves no row sum.
+# below it; weights under e^_EXP_FLOOR (~1e-304) of their column maximum are
+# set to 0 instead, which moves no column sum.
 _EXP_FLOOR = -700.0
 
 
@@ -147,14 +147,13 @@ def _table_marginals(probs: np.ndarray, length: int, vocab: int) -> np.ndarray:
     return out
 
 
-def _posterior_into(t: float, x: np.ndarray, log_prior: np.ndarray, flush: bool, out: np.ndarray) -> np.ndarray:
+def _posterior_into(t: float, x: np.ndarray, log_prior: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (V^L, m) with the normalized joint posterior of each column.
 
     x holds the m states scaled by c_t/sigma_t^2, as (L, V, m). Every step
     works in place on ``out``: logits, a shift by the column maximum, one exp
     and a division by the column sum, so no temporary of the table's size is
-    made. With ``flush`` set, logits below _EXP_FLOOR give weight 0; without
-    it, the caller has bounded them away.
+    made. Logits below _EXP_FLOOR give weight 0.
     """
     _sequence_sums(x, out)
     out += log_prior[:, None]
@@ -162,13 +161,10 @@ def _posterior_into(t: float, x: np.ndarray, log_prior: np.ndarray, flush: bool,
     if not np.all(np.isfinite(shift)):
         raise DegeneratePosteriorError(f"posterior logits overflow float64 at level {t!r}")
     out -= shift
-    if flush:
-        low = out < _EXP_FLOOR
-        np.maximum(out, _EXP_FLOOR, out=out)
-        np.exp(out, out=out)
-        out[low] = 0.0
-    else:
-        np.exp(out, out=out)
+    low = out < _EXP_FLOOR
+    np.maximum(out, _EXP_FLOOR, out=out)
+    np.exp(out, out=out)
+    out[low] = 0.0
     out /= out.sum(axis=0)
     return out
 
@@ -193,10 +189,6 @@ def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
         raise ValueError(f"state dimension {states.shape[1]} != {nu.dim}")
     scale = co.c / co.sigma2
     log_prior = _log_table(nu.probs)
-    finite = log_prior[np.isfinite(log_prior)]
-    # every finite logit lies within this distance below its column maximum
-    spread = scale * nu.length * (np.ptp(states) if states.size else 0.0) + np.ptp(finite)
-    flush = not spread <= -_EXP_FLOOR
     n, space = len(states), nu.probs.size
     rows = max(1, _BLOCK_BYTES // (8 * space))
     buf = np.empty((space, min(rows, n) + 1))
@@ -207,7 +199,7 @@ def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
         x[:, : m - 1] = states[lo:hi].T
         x[:, m - 1] = 0.0
         scaled = scale * x[:, :m].reshape(nu.length, nu.vocab, m)
-        yield lo, hi, _posterior_into(t, scaled, log_prior, flush, buf[:, :m])
+        yield lo, hi, _posterior_into(t, scaled, log_prior, buf[:, :m])
 
 
 def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray) -> np.ndarray:

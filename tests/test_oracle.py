@@ -147,7 +147,7 @@ class TestPosteriorMarginals:
             np.testing.assert_allclose(posterior_marginals(cap_law, t, x), rows, atol=1e-12)
 
     def test_underflow_guard_changes_no_row(self, cap_law):
-        # a far-out companion row makes some logits fall below the exp floor
+        # a far-out companion row has logits below the exp floor; the other rows do not move
         t = 0.05
         rng = derive_rng(43, "flush")
         x = _forward_states(cap_law, t, 10, rng)
