@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, encode, make_joint
+from .discrete import JointDist, encode, json_type_matches, make_joint
 from .kernels import NoiseGrid, forward_sample
 from .metrics import (
     denoising_gap,
@@ -29,7 +29,7 @@ from .metrics import (
     unigram_entropy,
     unigram_entropy_se,
 )
-from .oracle import MarginalTable, kernel_kl_estimate, multi_information, joint_posterior, token_marginals
+from .oracle import MarginalTable, kernel_kl_estimate
 from .predictors import OraclePredictor, TrainConfig, TrainedPredictor, train_predictor
 from .samplers import SamplerConfig, batch_sample, batch_sample_traced
 from .seeding import derive_rng
@@ -44,20 +44,6 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _json_type_matches(default, value) -> bool:
-    """value has the JSON type of default; ints pass for floats, a None default takes anything,
-    and each element of a list must match the default list's first element."""
-    if default is None:
-        return True
-    if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if not isinstance(value, (int, float) if isinstance(default, float) else type(default)):
-        return False
-    if isinstance(default, list) and default:
-        return all(_json_type_matches(default[0], v) for v in value)
-    return True
-
-
 def _merged(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
     """defaults <- config-file values <- explicitly passed flags."""
     for key in config:
@@ -66,7 +52,7 @@ def _merged(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
     out = dict(defaults)
     for key in defaults:
         if key in config:
-            if not _json_type_matches(defaults[key], config[key]):
+            if not json_type_matches(defaults[key], config[key]):
                 raise ValueError(f"config key {key!r} must have the JSON type of its default {defaults[key]!r}")
             out[key] = config[key]
         flag = getattr(args, key.replace("-", "_"), None)
@@ -118,15 +104,18 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
         args,
     )
     marginals = opts["marginals"]
-    if isinstance(marginals, str):
-        marginals = json.loads(marginals)
+    if marginals is not None:
+        try:
+            marginals = np.asarray(json.loads(marginals) if isinstance(marginals, str) else marginals, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"'marginals' must be an (L, V) array of numbers: {exc}") from exc
     nu = make_joint(
         opts["kind"],
         int(opts["vocab"]),
         int(opts["length"]),
         seed=int(opts["seed"]),
         alpha=float(opts["alpha"]),
-        marginals=None if marginals is None else np.asarray(marginals, dtype=float),
+        marginals=marginals,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -400,9 +389,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         u_k = float(opts["bound_u_k"])
         y = forward_sample(encode(nu.sequence_at(int(nu.sample_indices(rng, 1)[0]))), u_k, rng)
         est = kernel_kl_estimate(nu, y, u_k, float(opts["bound_u_next"]), int(opts["bound_n_mc"]), rng)
-        joint = joint_posterior(nu, u_k, y)
-        mi = multi_information(joint, token_marginals(joint))
-        margin = est.estimate - mi - float(opts["bound_sigma"]) * est.se
+        margin = est.estimate - est.mi - float(opts["bound_sigma"]) * est.se
         worst_margin = max(worst_margin, margin)
         bound_ok = bound_ok and margin <= _BOUND_SLACK
     checks.append(

@@ -133,6 +133,28 @@ def onehot_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.nd
     return onehot(index_matrix(vocab, length, cap), vocab)
 
 
+def product_table(rows: np.ndarray) -> np.ndarray:
+    """(V^L,) table of prod_l rows[l, w_l] over the big-endian indices w of (L, V) rows."""
+    probs = np.ones(1)
+    for row in rows:
+        probs = np.multiply.outer(probs, row).reshape(-1)
+    return probs
+
+
+def json_type_matches(default, value) -> bool:
+    """value has the JSON type of default; ints pass for floats, a None default takes anything,
+    and each element of a list must match the default list's first element."""
+    if default is None:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if not isinstance(value, (int, float) if isinstance(default, float) else type(default)):
+        return False
+    if isinstance(default, list) and default:
+        return all(json_type_matches(default[0], v) for v in value)
+    return True
+
+
 @dataclass(frozen=True)
 class JointDist:
     """Explicit probability table over all V^L sequences (big-endian indexed)."""
@@ -190,10 +212,10 @@ class JointDist:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDist":
         try:
-            vocab, length, probs = int(doc["V"]), int(doc["L"]), doc["probs"]
-        except (KeyError, TypeError) as exc:
+            vocab, length, probs = int(doc["V"]), int(doc["L"]), np.asarray(doc["probs"], dtype=float)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed distribution document: {exc}") from exc
-        return cls(vocab=vocab, length=length, probs=np.asarray(probs, dtype=float))
+        return cls(vocab=vocab, length=length, probs=probs)
 
     @classmethod
     def load(cls, path: str | Path) -> "JointDist":
@@ -233,9 +255,7 @@ def make_joint(
             raise ValueError(f"marginals must have shape ({length}, {vocab}), got {m.shape}")
         if np.any(m < 0.0) or np.any(np.abs(m.sum(axis=1) - 1.0) > _SUM_TOL):
             raise ValueError("each marginal row must be nonnegative and sum to 1")
-        probs = np.ones(1)
-        for pos in range(length):
-            probs = np.multiply.outer(probs, m[pos]).reshape(-1)
+        probs = product_table(m)
     elif kind == "dirichlet":
         if seed is None:
             raise ValueError("dirichlet joints need a seed")

@@ -26,6 +26,7 @@ from .discrete import JointDist, TokenSequence, onehot_matrix, token_index
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     MarginalTable,
+    _block_rows,
     discrete_kl,
     factorized_posterior,
     filtered_endpoint_means,
@@ -276,12 +277,18 @@ def denoising_gap(
     expansions at interior nodes; it does not estimate the full path KLs
     themselves (whose absolute-continuity preconditions are analytic
     assumptions, not checkable numerically).
+
+    Samples are processed in blocks of the oracle's ``_block_rows``: all
+    endpoint uniforms and all X_u normals are drawn first, then the X_{u_k}
+    normals block by block, so the report does not depend on the block size
+    and transient memory does not grow with n_mc.
     """
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
     onehot = onehot_matrix(nu.vocab, nu.length)
+    rows = _block_rows(nu.probs.size)
     horizon = grid.horizon
     report = GapReport(n_mc=n_mc)
     for k, (u_k, u_next) in enumerate(grid.pairs()):
@@ -297,19 +304,22 @@ def denoising_gap(
             u = u_k - frac * gamma
 
             idx = nu.sample_indices(rng, n_mc)
-            x0 = onehot[idx]
             co_u = ou_coeffs(u)
-            x_u = co_u.c * x0 + co_u.sigma * rng.standard_normal(x0.shape)
+            x_u = rng.standard_normal((n_mc, nu.dim))
+            x_u *= co_u.sigma
             co_d = ou_coeffs(u_k - u)
-            x_uk = co_d.c * x_u + co_d.sigma * rng.standard_normal(x0.shape)
-
-            m_u = posterior_marginals(nu, u, x_u).reshape(n_mc, -1)
-            prior_rows = posterior_marginals(nu, u_k, x_uk)
-            m_uk = prior_rows.reshape(n_mc, -1)
-            m_bar = filtered_endpoint_means(prior_rows, x_u, x_uk, u, u_k).reshape(n_mc, -1)
-
-            ddpm_sq = ((m_u - m_uk) ** 2).sum(axis=1)
-            mcb_sq = ((m_u - m_bar) ** 2).sum(axis=1)
+            ddpm_sq, mcb_sq = np.empty(n_mc), np.empty(n_mc)
+            for lo in range(0, n_mc, rows):
+                hi = min(lo + rows, n_mc)
+                xu = x_u[lo:hi]
+                xu += co_u.c * onehot[idx[lo:hi]]
+                x_uk = co_d.c * xu + co_d.sigma * rng.standard_normal(xu.shape)
+                m_u = posterior_marginals(nu, u, xu).reshape(hi - lo, -1)
+                prior_rows = posterior_marginals(nu, u_k, x_uk)
+                m_uk = prior_rows.reshape(hi - lo, -1)
+                m_bar = filtered_endpoint_means(prior_rows, xu, x_uk, u, u_k).reshape(hi - lo, -1)
+                ddpm_sq[lo:hi] = ((m_u - m_uk) ** 2).sum(axis=1)
+                mcb_sq[lo:hi] = ((m_u - m_bar) ** 2).sum(axis=1)
             diff = ddpm_sq - mcb_sq
             sqrt_n = math.sqrt(n_mc)
             report.nodes.append(

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, onehot_matrix, onehot_tokens, token_index
+from .discrete import JointDist, index_matrix, onehot_matrix, onehot_tokens, product_table, token_index
 from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
 
 _ROW_TOL = 1e-10
@@ -147,38 +147,59 @@ def _table_marginals(probs: np.ndarray, length: int, vocab: int) -> np.ndarray:
     return out
 
 
-def _posterior_into(t: float, x: np.ndarray, log_prior: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (V^L, m) with the normalized joint posterior of each column.
+def _block_rows(space: int) -> int:
+    """Rows per block: as many V^L-entry float64 columns as fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * space))
 
-    x holds the m states scaled by c_t/sigma_t^2, as (L, V, m). Every step
-    works in place on ``out``: logits, a shift by the column maximum, one exp
-    and a division by the column sum, so no temporary of the table's size is
-    made. Logits below _EXP_FLOOR give weight 0.
+
+def _exp_into(t: float, x: np.ndarray, log_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (V^L, m) with exp(log_weights[w] + sum_l x[l, w_l, :] - shift)
+    and return the per-column shift, the column maximum of the logits.
+
+    x is (L, V, m). Every step works in place on ``out``, so no temporary of
+    the table's size is made. Logits more than -_EXP_FLOOR below their
+    column maximum give weight 0; each column sum is at least 1.
     """
     _sequence_sums(x, out)
-    out += log_prior[:, None]
+    out += log_weights[:, None]
     shift = out.max(axis=0)
     if not np.all(np.isfinite(shift)):
-        raise DegeneratePosteriorError(f"posterior logits overflow float64 at level {t!r}")
+        raise DegeneratePosteriorError(f"logits overflow float64 at level {t!r}")
     out -= shift
     low = out < _EXP_FLOOR
     np.maximum(out, _EXP_FLOOR, out=out)
     np.exp(out, out=out)
     out[low] = 0.0
-    out /= out.sum(axis=0)
-    return out
+    return shift
+
+
+def _exp_blocks(nu: JointDist, t: float, log_weights: np.ndarray, scale: float, vectors: np.ndarray):
+    """Yield (lo, hi, table, shift): ``_exp_into`` of scale * vectors[lo:hi]
+    (rows in R^(L*V)) as the first hi - lo columns of a (V^L, hi - lo + 1) table.
+
+    Blocks hold ``_block_rows`` rows and reuse one buffer. The last column is
+    a spare zero vector: with at least two columns, numpy sums along the
+    sequence axis one entry at a time in index order (with one column it
+    would switch to pairwise summation), so a row's values do not depend on
+    its block or batch.
+    """
+    n, space = len(vectors), log_weights.size
+    rows = _block_rows(space)
+    buf = np.empty((space, min(rows, n) + 1))
+    x = np.zeros((nu.dim, min(rows, n) + 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        m = hi - lo + 1
+        x[:, : m - 1] = vectors[lo:hi].T
+        x[:, m - 1] = 0.0
+        scaled = scale * x[:, :m].reshape(nu.length, nu.vocab, m)
+        table = buf[:, :m]
+        yield lo, hi, table, _exp_into(t, scaled, log_weights, table)
 
 
 def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
     """Yield (lo, hi, table): the normalized joint posterior of states[lo:hi]
-    as the first hi - lo columns of a (V^L, hi - lo + 1) table.
-
-    Blocks hold at most ``_BLOCK_BYTES`` of chains (one chain if a row is
-    larger) and reuse one buffer. The last column is a spare zero state: with
-    at least two columns, numpy sums along the sequence axis one entry at a
-    time in index order (with one column it would switch to pairwise
-    summation), so a chain's values do not depend on its block or batch.
-    """
+    as the first hi - lo columns of a (V^L, hi - lo + 1) table (see ``_exp_blocks``)."""
     co = ou_coeffs(t)
     if co.sigma2 <= 0.0:
         raise ValueError("posterior needs t > 0")
@@ -187,19 +208,9 @@ def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
         raise ValueError("states must be finite")
     if states.shape[1] != nu.dim:
         raise ValueError(f"state dimension {states.shape[1]} != {nu.dim}")
-    scale = co.c / co.sigma2
-    log_prior = _log_table(nu.probs)
-    n, space = len(states), nu.probs.size
-    rows = max(1, _BLOCK_BYTES // (8 * space))
-    buf = np.empty((space, min(rows, n) + 1))
-    x = np.zeros((nu.dim, min(rows, n) + 1))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        m = hi - lo + 1
-        x[:, : m - 1] = states[lo:hi].T
-        x[:, m - 1] = 0.0
-        scaled = scale * x[:, :m].reshape(nu.length, nu.vocab, m)
-        yield lo, hi, _posterior_into(t, scaled, log_prior, buf[:, :m])
+    for lo, hi, table, _ in _exp_blocks(nu, t, _log_table(nu.probs), co.c / co.sigma2, states):
+        table /= table.sum(axis=0)
+        yield lo, hi, table
 
 
 def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray) -> np.ndarray:
@@ -248,11 +259,8 @@ def token_marginals(joint: EndpointPosterior) -> MarginalTable:
 
 def factorized_posterior(m: MarginalTable) -> EndpointPosterior:
     """Product-form distribution: P(w) = prod_l m[l, w_l]."""
-    probs = np.ones(1)
-    for pos in range(m.length):
-        probs = np.multiply.outer(probs, m.probs[pos]).reshape(-1)
     return EndpointPosterior(
-        vocab=m.vocab, length=m.length, probs=probs, level=m.level, factorized=True
+        vocab=m.vocab, length=m.length, probs=product_table(m.probs), level=m.level, factorized=True
     )
 
 
@@ -351,14 +359,7 @@ def filtered_endpoint_means(
     return np.exp(logp - logsumexp(logp, axis=2, keepdims=True))
 
 
-def true_kernel_logdensities(
-    nu: JointDist,
-    y: np.ndarray,
-    u_k: float,
-    u_next: float,
-    z: np.ndarray,
-    onehot: np.ndarray | None = None,
-) -> np.ndarray:
+def true_kernel_logdensities(nu: JointDist, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> np.ndarray:
     """Log-density of the exact posterior-predictive reverse kernel at z.
 
     K*(z | y) = sum_w q(w | X_{u_k} = y) BridgeNormal(z; y, e(w)); evaluated
@@ -367,19 +368,34 @@ def true_kernel_logdensities(
     kernel is supported on exact one-hot states; the returned value is then the
     log-mass of the decoded sequence, and -inf off the support.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if onehot is None:
-        onehot = onehot_matrix(nu.vocab, nu.length)
     post = joint_posterior_probs(nu, u_k, y)[0]
+    return _kernel_logdensities(nu, _log_table(post), y, u_k, u_next, z)
+
+
+def _kernel_logdensities(
+    nu: JointDist, log_post: np.ndarray, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray
+) -> np.ndarray:
+    """``true_kernel_logdensities`` given the log joint posterior at (u_k, y).
+
+    With r = z - b y and |e(w)|^2 = L, each mixture component's exponent is
+    -(|r|^2 + a^2 L) / (2 var) + (a / var) <r, e(w)>, so the log-sum-exp over
+    the V^L endpoints is the exp kernel of the posterior run on the rows of r
+    with log q(w | y) as weights, in blocks of ``_block_rows`` rows; a row's
+    value does not depend on the block size.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     a, b, var = reverse_step_coeffs(u_next, u_k)
     if var == 0.0:
         toks, exact = onehot_tokens(z, nu.vocab)
-        return np.where(exact, _log_table(post)[token_index(toks, nu.vocab)], -math.inf)
-    dim = nu.dim
+        return np.where(exact, log_post[token_index(toks, nu.vocab)], -math.inf)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
     r = z - b * np.asarray(y, dtype=float)[None, :]
-    sq = (r * r).sum(axis=1, keepdims=True) - 2.0 * a * (r @ onehot.T) + a * a * nu.length
-    logits = _log_table(post)[None, :] - sq / (2.0 * var)
-    return logsumexp(logits, axis=1) - 0.5 * dim * math.log(2.0 * math.pi * var)
+    out = np.empty(len(r))
+    for lo, hi, table, shift in _exp_blocks(nu, u_next, log_post, a / var, r):
+        out[lo:hi] = (np.log(table.sum(axis=0)) + shift)[:-1]
+    out -= ((r * r).sum(axis=1) + a * a * nu.length) / (2.0 * var)
+    return out - 0.5 * nu.dim * math.log(2.0 * math.pi * var)
 
 
 def true_kernel_logdensity(nu: JointDist, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> float:
@@ -421,6 +437,7 @@ class KernelKl(NamedTuple):
     estimate: float
     se: float
     n_flagged: int
+    mi: float  # multi-information of the joint posterior at (u_k, y): the bound on the KL
 
 
 def kernel_kl_estimate(
@@ -435,20 +452,22 @@ def kernel_kl_estimate(
 
     Samples z from the true kernel (endpoint from the exact joint posterior,
     then the analytic bridge) and averages the log-density ratio, which is the
-    forward KL certified by the multi-information bound. Non-finite ratios are
-    excluded and counted.
+    forward KL certified by the multi-information bound, which is returned
+    with it. The joint posterior at (u_k, y) is built once for the draws, the
+    true kernel and the bound. Non-finite ratios are excluded and counted.
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
     y = np.asarray(y, dtype=float)
     onehot = onehot_matrix(nu.vocab, nu.length)
-    post = joint_posterior_probs(nu, u_k, y)[0]
-    marg = token_marginals(EndpointPosterior(nu.vocab, nu.length, post, level=u_k))
+    joint = joint_posterior(nu, u_k, y)
+    post = joint.probs
+    marg = token_marginals(joint)
     a, b, var = reverse_step_coeffs(u_next, u_k)
     cdf = np.cumsum(post)
     idx = np.minimum(np.searchsorted(cdf, rng.random(n), side="left"), post.size - 1)
     z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
-    diff = true_kernel_logdensities(nu, y, u_k, u_next, z, onehot) - mcb_kernel_logdensities(
+    diff = _kernel_logdensities(nu, _log_table(post), y, u_k, u_next, z) - mcb_kernel_logdensities(
         m=marg, y=y, u_k=u_k, u_next=u_next, z=z
     )
     mask = np.isfinite(diff)
@@ -462,4 +481,5 @@ def kernel_kl_estimate(
         estimate=float(used.mean()),
         se=float(used.std(ddof=1) / math.sqrt(used.size)),
         n_flagged=flagged,
+        mi=multi_information(joint, marg),
     )

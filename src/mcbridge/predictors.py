@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, onehot
+from .discrete import JointDist, index_matrix, json_type_matches, onehot
 from .oracle import MarginalTable, logsumexp, posterior_marginals
 from .seeding import derive_rng
 
@@ -158,19 +158,44 @@ class TrainedPredictor(MarginalPredictor):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainedPredictor":
+        """Inverse of ``to_json_dict``; a malformed document raises ValueError naming the key.
+
+        Config keys other than vocab and length may be missing; they take the
+        ``TrainConfig`` defaults.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("predictor document must be a JSON object")
+        for key, kind in (("config", dict), ("widths", list), ("weights", dict)):
+            if not isinstance(doc.get(key), kind):
+                raise ValueError(f"predictor key {key!r} must hold a JSON {'object' if kind is dict else 'array'}")
         cfg_doc = dict(doc["config"])
-        vocab = int(cfg_doc.pop("vocab"))
-        length = int(cfg_doc.pop("length"))
+        types = {"vocab": 0, "length": 0, **{f.name: f.default for f in fields(TrainConfig)}}
+        for key, value in cfg_doc.items():
+            if key not in types:
+                raise ValueError(f"unknown predictor config key {key!r}")
+            if not json_type_matches(types[key], value):
+                raise ValueError(f"predictor config key {key!r} must have the JSON type of {types[key]!r}")
+        vocab, length = cfg_doc.pop("vocab", 0), cfg_doc.pop("length", 0)
+        if vocab < 1 or length < 1:
+            raise ValueError(f"predictor config keys 'vocab' and 'length' must be >= 1, got {vocab} and {length}")
         config = TrainConfig(**cfg_doc)
-        n_in, hidden, n_out = (int(w) for w in doc["widths"])
+        widths = doc["widths"]
+        if len(widths) != 3 or not json_type_matches([0], widths):
+            raise ValueError(f"predictor key 'widths' must hold 3 integers, got {widths!r}")
+        n_in, hidden, n_out = widths
         if n_in != vocab * length + 2 or n_out != vocab * length or hidden != config.hidden:
-            raise ValueError(f"inconsistent widths {doc['widths']} for V={vocab}, L={length}")
+            raise ValueError(f"inconsistent widths {widths} for V={vocab}, L={length}")
         shapes = {"w1": (hidden, n_in), "b1": (hidden,), "w2": (n_out, hidden), "b2": (n_out,)}
         params = {}
         for key, shape in shapes.items():
-            flat = np.asarray(doc["weights"][key], dtype=float)
+            try:
+                flat = np.asarray(doc["weights"][key], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"predictor weight {key!r} is missing or not an array of numbers: {exc}") from exc
             if flat.size != int(np.prod(shape)):
                 raise ValueError(f"weight {key} has {flat.size} values, expected {np.prod(shape)}")
+            if not np.all(np.isfinite(flat)):
+                raise ValueError(f"weight {key} has non-finite values")
             params[key] = flat.reshape(shape)
         return cls(vocab, length, params, config)
 

@@ -9,6 +9,7 @@ import pytest
 
 from mcbridge.cli import main
 from mcbridge.discrete import JointDist
+from mcbridge.predictors import TrainConfig, TrainedPredictor
 
 QUICK_VERIFY = {
     "levels": [0.5, 2.0],
@@ -287,6 +288,26 @@ class TestConfigTypes:
     def test_int_accepted_for_float_default(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, {"temperature": 1, "horizon": 6, "steps": 2, "chains": 4})
         assert main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+class TestPredictorDocuments:
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda d: [d], "JSON object"),
+            (lambda d: {**d, "config": {**d["config"], "bogus": 1}}, "'bogus'"),
+            (lambda d: {**d, "config": None}, "'config'"),
+            (lambda d: {**d, "config": {**d["config"], "steps": "x"}}, "'steps'"),
+        ],
+        ids=["top-level-list", "unknown-config-key", "null-config", "string-steps"],
+    )
+    def test_malformed_predictor_exits_2(self, tmp_path, capsys, mutate, named):
+        doc = TrainedPredictor.initial(3, 2, TrainConfig(hidden=4, steps=0)).to_json_dict()
+        path = tmp_path / "predictor.json"
+        path.write_text(json.dumps(mutate(doc)))
+        code = main(["sample", "--predictor", str(path), "--steps", "2", "--chains", "4", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestFlagOverridesConfig:

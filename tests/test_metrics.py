@@ -2,11 +2,13 @@
 identity + gap checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import forward_state
 
+from mcbridge import oracle
 from mcbridge.discrete import TokenSequence, make_joint
 from mcbridge.kernels import NoiseGrid
 from mcbridge.metrics import (
@@ -205,6 +207,26 @@ class TestDenoisingGap:
         rep2 = denoising_gap(double, NoiseGrid.uniform(6.0, 8), 3, 20_000, rng)
         pooled = math.sqrt(rep2.total_gap_se**2 + 4.0 * rep1.total_gap_se**2)
         assert abs(rep2.total_gap - 2.0 * rep1.total_gap) <= 3 * pooled
+
+    def test_report_independent_of_block_budget(self, monkeypatch):
+        nu = make_joint("dirichlet", 4, 3, seed=2, alpha=0.8)
+        grid = NoiseGrid.uniform(6.0, 2)
+        base = denoising_gap(nu, grid, 2, 1000, derive_rng(13, "gblock"))
+        for budget in (8 * 64, 7 * 8 * 64, 1 << 30):  # 1 row, 7 rows, all rows per block
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+            assert denoising_gap(nu, grid, 2, 1000, derive_rng(13, "gblock")) == base
+
+    def test_peak_memory_bounded(self):
+        # full-length n_mc x (L*V) arrays for every intermediate take ~19 MiB here
+        nu = make_joint("dirichlet", 4, 3, seed=0, alpha=0.8)
+        tracemalloc.start()
+        try:
+            report = denoising_gap(nu, NoiseGrid.uniform(6.0, 2), 1, 20_000, derive_rng(14, "gmem"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.nodes) == 2
+        assert peak <= 10 * 2**20
 
     def test_rejects_tiny_budget(self, copy3x2):
         with pytest.raises(ValueError):

@@ -392,6 +392,34 @@ class TestKernelDensities:
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+    def _cap_kernel_draws(self, nu, u_k, u_next, n, rng):
+        y = forward_state(nu, u_k, rng)
+        a, b, var = reverse_step_coeffs(u_next, u_k)
+        x0 = onehot_matrix(nu.vocab, nu.length)[nu.sample_indices(rng, n)]
+        return y, a * x0 + b * y + math.sqrt(var) * rng.standard_normal((n, nu.dim))
+
+    def test_rows_independent_of_block_budget(self, cap_law, monkeypatch):
+        y, z = self._cap_kernel_draws(cap_law, 1.0, 0.5, 23, derive_rng(45, "kbudget"))
+        base = true_kernel_logdensities(cap_law, y, 1.0, 0.5, z)
+        for budget in (8 * 4096, 7 * 8 * 4096, 1 << 30):  # 1 row, 7 rows, all rows per block
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(true_kernel_logdensities(cap_law, y, 1.0, 0.5, z), base)
+
+    def test_matches_dense_one_hot_mixture(self, cap_law):
+        # the blocked exp kernel against the plain (r @ onehot.T) log-sum-exp over all V^L endpoints
+        onehot = onehot_matrix(4, 6)
+        rng = derive_rng(46, "kdense")
+        for u_k, u_next in ((1.0, 0.5), (0.3, 0.05), (2.0, 1.9)):
+            y, z = self._cap_kernel_draws(cap_law, u_k, u_next, 40, rng)
+            a, b, var = reverse_step_coeffs(u_next, u_k)
+            r = z - b * y
+            sq = (r * r).sum(axis=1, keepdims=True) - 2.0 * a * (r @ onehot.T) + a * a * 6
+            logits = np.log(joint_posterior(cap_law, u_k, y).probs) - sq / (2.0 * var)
+            dense = logsumexp(logits, axis=1) - 0.5 * 24 * math.log(2.0 * math.pi * var)
+            got = true_kernel_logdensities(cap_law, y, u_k, u_next, z)
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+
+
 class TestKernelKlEstimate:
     def test_zero_for_product_law(self, product3x2):
         rng = derive_rng(15, "kl0")
@@ -418,3 +446,26 @@ class TestKernelKlEstimate:
     def test_rejects_small_n(self, copy3x2):
         with pytest.raises(ValueError):
             kernel_kl_estimate(copy3x2, np.zeros(6), 1.0, 0.5, 10, derive_rng(0, "x"))
+
+    def test_builds_the_posterior_once_and_returns_its_bound(self, copy3x2, monkeypatch):
+        rng = derive_rng(18, "klonce")
+        y = forward_state(copy3x2, 1.0, rng)
+        post = joint_posterior(copy3x2, 1.0, y)
+        calls = []
+        build = oracle.joint_posterior_probs
+        monkeypatch.setattr(oracle, "joint_posterior_probs", lambda *a: calls.append(1) or build(*a))
+        est = kernel_kl_estimate(copy3x2, y, 1.0, 0.5, 2000, rng)
+        assert len(calls) == 1
+        assert est.mi == multi_information(post, token_marginals(post))
+
+    def test_peak_memory_bounded_at_the_cap(self, cap_law):
+        # one dense n x V^L mixture table alone would be 312 MiB
+        y = forward_state(cap_law, 1.0, derive_rng(19, "klmem"))
+        tracemalloc.start()
+        try:
+            est = kernel_kl_estimate(cap_law, y, 1.0, 0.5, 10_000, derive_rng(20, "klmem"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.n_flagged == 0
+        assert peak <= 32 * 2**20
