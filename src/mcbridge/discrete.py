@@ -211,11 +211,20 @@ class JointDist:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDist":
+        """Inverse of ``to_json_dict``; a malformed document raises ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError("distribution document must be a JSON object")
+        keys = (("V", 0, "an integer"), ("L", 0, "an integer"), ("probs", [0.0], "an array of numbers"))
+        for key, default, kind in keys:
+            if key not in doc:
+                raise ValueError(f"distribution key {key!r} is missing")
+            if not json_type_matches(default, doc[key]):
+                raise ValueError(f"distribution key {key!r} must hold {kind}, got {doc[key]!r:.60}")
         try:
-            vocab, length, probs = int(doc["V"]), int(doc["L"]), np.asarray(doc["probs"], dtype=float)
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed distribution document: {exc}") from exc
-        return cls(vocab=vocab, length=length, probs=probs)
+            probs = np.asarray(doc["probs"], dtype=float)
+        except OverflowError as exc:
+            raise ValueError(f"distribution key 'probs' holds a number too large for a float: {exc}") from exc
+        return cls(vocab=doc["V"], length=doc["L"], probs=probs)
 
     @classmethod
     def load(cls, path: str | Path) -> "JointDist":

@@ -81,17 +81,63 @@ class EndpointPosterior:
         object.__setattr__(self, "probs", p)
 
 
+def _pairwise_sum(t: np.ndarray) -> np.ndarray:
+    """Column sums of a (V, n) array, added in numpy's order for a contiguous row.
+
+    That order is a running sum below 8 terms; up to 128 terms, eight
+    interleaved running sums joined as a tree, then the remainder; beyond,
+    the two halves (the first a multiple of 8 long) summed apart. Each step
+    adds whole rows, so every column equals ``np.sum`` of its values bit for bit.
+    """
+    m = len(t)
+    if m < 8:
+        return t.sum(axis=0)
+    if m <= 128:
+        k = m - m % 8
+        r = t[:k].reshape(k // 8, 8, t.shape[1]).sum(axis=0)
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in t[k:]:
+            out += row
+        return out
+    half = m // 2 - (m // 2) % 8
+    return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
+
+
+def _columns_logsumexp(t: np.ndarray) -> np.ndarray:
+    """log-sum-exp down each column of a (V, n) array; overwrites ``t``."""
+    shift = t.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    t -= shift
+    np.exp(t, out=t)
+    with np.errstate(divide="ignore"):
+        out = np.log(_pairwise_sum(t))
+    out += shift
+    return out
+
+
 def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, shifted by the finite maximum.
 
     An all -inf slice gives -inf (no warning); a +inf entry gives +inf.
+    The reduced axis is copied to the front (vocabulary-major), so the max
+    and the sum are V elementwise passes over contiguous rows rather than
+    short reductions per slice; the sum keeps numpy's order, so a reduction
+    over the last axis gives the same bits as ``np.sum`` along it would.
     """
     a = np.asarray(a, dtype=float)
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
-    return out if keepdims else np.squeeze(out, axis=axis)
+    if axis is None:
+        out = _columns_logsumexp(a.reshape(-1, 1).copy())
+        return out.reshape((1,) * a.ndim if keepdims else ())
+    rows = a.swapaxes(axis, -1)
+    out = _columns_logsumexp(rows.reshape(-1, rows.shape[-1]).T.copy())
+    out = out.reshape(rows.shape[:-1] + (1,)).swapaxes(axis, -1)
+    return out if keepdims else out.squeeze(axis)
+
+
+def row_softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x - logsumexp(x)) along the last axis: every row normalized to sum to 1."""
+    out = x - logsumexp(x, axis=-1, keepdims=True)
+    return np.exp(out, out=out)
 
 
 def _log_table(p: np.ndarray) -> np.ndarray:
@@ -333,8 +379,7 @@ def filtered_endpoint_mean(
         raise ValueError(f"y_block must have shape ({vocab},), got {y_block.shape}")
     b = stable_sinh(u) / stable_sinh(u_k)
     r = y_block - b * y_k[pos * vocab : (pos + 1) * vocab]
-    logp = _log_table(row) + r / (2.0 * stable_sinh(u))
-    return np.exp(logp - logsumexp(logp))
+    return row_softmax(_log_table(row) + r / (2.0 * stable_sinh(u)))
 
 
 def filtered_endpoint_means(
@@ -355,8 +400,7 @@ def filtered_endpoint_means(
     n, length, vocab = prior_rows.shape
     b = stable_sinh(u) / stable_sinh(u_k)
     r = (states_u - b * states_uk).reshape(n, length, vocab)
-    logp = _log_table(prior_rows) + r / (2.0 * stable_sinh(u))
-    return np.exp(logp - logsumexp(logp, axis=2, keepdims=True))
+    return row_softmax(_log_table(prior_rows) + r / (2.0 * stable_sinh(u)))
 
 
 def true_kernel_logdensities(nu: JointDist, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .discrete import JointDist, index_matrix, json_type_matches, onehot
-from .oracle import MarginalTable, logsumexp, posterior_marginals
+from .oracle import MarginalTable, logsumexp, posterior_marginals, row_softmax
 from .seeding import derive_rng
 
 
@@ -124,14 +124,16 @@ class TrainedPredictor(MarginalPredictor):
         return np.concatenate([states, c[:, None], sigma[:, None]], axis=1)
 
     def _logits(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hidden = np.tanh(feats @ self.params["w1"].T + self.params["b1"])
-        logits = hidden @ self.params["w2"].T + self.params["b2"]
+        hidden = feats @ self.params["w1"].T
+        hidden += self.params["b1"]
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ self.params["w2"].T
+        logits += self.params["b2"]
         return logits, hidden
 
     def marginals_batch(self, states: np.ndarray, u: float) -> np.ndarray:
         logits, _ = self._logits(self._features(states, u))
-        logits = logits.reshape(-1, self.length, self.vocab)
-        return np.exp(logits - logsumexp(logits, axis=2, keepdims=True))
+        return row_softmax(logits.reshape(-1, self.length, self.vocab))
 
     def to_json_dict(self) -> dict:
         n_in = self.vocab * self.length + 2
@@ -209,7 +211,10 @@ def oracle_predictor(nu: JointDist) -> OraclePredictor:
 
 
 def _corpus_sampler(data: JointDist | np.ndarray, vocab: int, length: int):
-    """draw(rng, n) -> (one-hot states, token ids) of n training sequences."""
+    """draw(rng, n) -> (one-hot states, token ids) of n training sequences.
+
+    The one-hot states of the table's rows are built once and indexed.
+    """
     if isinstance(data, JointDist):
         table, sample = index_matrix(vocab, length), data.sample_indices
     else:
@@ -222,9 +227,11 @@ def _corpus_sampler(data: JointDist | np.ndarray, vocab: int, length: int):
         def sample(rng: np.random.Generator, n: int) -> np.ndarray:
             return rng.integers(0, table.shape[0], size=n)
 
+    states = onehot(table, vocab)
+
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        toks = table[sample(rng, n)]
-        return onehot(toks, vocab), toks
+        picked = sample(rng, n)
+        return states[picked], table[picked]
 
     return draw
 
@@ -252,7 +259,7 @@ def train_predictor(
     rng = derive_rng(cfg.seed, "train")
     lr = cfg.learning_rate
     losses = np.empty(cfg.steps)
-    arange = np.arange(cfg.batch)
+    rows, cols = np.arange(cfg.batch)[:, None], np.arange(length)[None, :]
     for step in range(cfg.steps):
         states, toks = draw(rng, cfg.batch)
         u = rng.uniform(cfg.u_min, cfg.horizon, size=cfg.batch)
@@ -264,14 +271,14 @@ def train_predictor(
         logits, hidden = pred._logits(feats)
         logits = logits.reshape(cfg.batch, length, vocab)
         lognorm = logsumexp(logits, axis=2)
-        picked = logits[arange[:, None], np.arange(length)[None, :], toks]
+        picked = logits[rows, cols, toks]
         loss = float((lognorm - picked).sum(axis=1).mean())
         losses[step] = loss
         if not math.isfinite(loss):
             raise TrainingDiverged(step, loss)
 
         probs = np.exp(logits - lognorm[:, :, None])
-        probs[arange[:, None], np.arange(length)[None, :], toks] -= 1.0
+        probs[rows, cols, toks] -= 1.0
         dlogits = probs.reshape(cfg.batch, length * vocab) / cfg.batch
         dw2 = dlogits.T @ hidden
         db2 = dlogits.sum(axis=0)
@@ -296,8 +303,7 @@ def temperature_rows(rows: np.ndarray, tau: float) -> np.ndarray:
         return rows.copy()
     with np.errstate(divide="ignore"):
         logr = np.log(rows) / tau
-    out = np.exp(logr - logsumexp(logr, axis=-1, keepdims=True))
-    return out
+    return row_softmax(logr)
 
 
 def nucleus_rows(rows: np.ndarray, p: float) -> np.ndarray:

@@ -63,8 +63,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {tuple(_METHODS)}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if not 0.0 < self.nucleus_p <= 1.0:
             raise ValueError("nucleus_p must lie in (0, 1]")
         if self.method in ("mcb", "ddpm", "ode") and self.grid.terminal != 0.0:

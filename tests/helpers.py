@@ -91,3 +91,18 @@ def sample_cov_se(cov: np.ndarray, n: int) -> np.ndarray:
     """Asymptotic standard error of each sample-covariance entry."""
     d = np.diag(cov)
     return np.sqrt((np.outer(d, d) + cov**2) / n)
+
+
+def rowwise_logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) as one numpy reduction per step along ``axis``, shifted by the finite max."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def rowwise_softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x - logsumexp(x)) along the last axis, written with ``rowwise_logsumexp``."""
+    return np.exp(x - rowwise_logsumexp(x, axis=-1, keepdims=True))

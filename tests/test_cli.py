@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,15 @@ class TestConfigTypes:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_exits_2(self, tmp_path, copy_dist, capsys, value):
+        cfg = _write_config(tmp_path, {"method": "sde", "temperature": value, "steps": 2, "chains": 4})
+        out = tmp_path / "r"
+        code = main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "temperature" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, copy_dist, capsys):
         cfg = _write_config(tmp_path, {"temprature": 0.5, "steps": 2, "chains": 4})
         out = tmp_path / "r"
@@ -288,6 +298,35 @@ class TestConfigTypes:
     def test_int_accepted_for_float_default(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, {"temperature": 1, "horizon": 6, "steps": 2, "chains": 4})
         assert main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+class TestDistributionDocuments:
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ({"V": "3", "L": 2.9, "probs": [str(1 / 9)] * 9}, "'V'"),
+            ({"V": "3"}, "'V'"),
+            ({"V": True}, "'V'"),
+            ({"L": 2.9}, "'L'"),
+            ({"L": 2.0}, "'L'"),
+            ({"probs": [str(1 / 9)] * 9}, "'probs'"),
+            ({"probs": [None] + [1 / 8] * 8}, "'probs'"),
+            ({"probs": 1.0}, "'probs'"),
+        ],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, patch, named):
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps({"V": 3, "L": 2, "probs": [1 / 9] * 9, **patch}))
+        code = main(["sample", "--dist", str(path), "--oracle", "--chains", "4", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_missing_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps({"V": 3, "probs": [1 / 9] * 9}))
+        code = main(["sample", "--dist", str(path), "--oracle", "--chains", "4", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "'L'" in capsys.readouterr().err
 
 
 class TestPredictorDocuments:

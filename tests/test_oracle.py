@@ -10,7 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import brute_filtered_mean, brute_joint_posterior, forward_state, gauss_logpdf
+from helpers import (
+    brute_filtered_mean,
+    brute_joint_posterior,
+    forward_state,
+    gauss_logpdf,
+    rowwise_logsumexp,
+    rowwise_softmax,
+)
 
 from mcbridge import oracle
 from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix
@@ -28,6 +35,7 @@ from mcbridge.oracle import (
     mcb_kernel_logdensity,
     multi_information,
     posterior_marginals,
+    row_softmax,
     token_marginals,
     true_kernel_logdensities,
     true_kernel_logdensity,
@@ -66,6 +74,48 @@ class TestLogsumexp:
         assert got[0] == -np.inf
         assert math.isclose(got[1], math.log(2.0), rel_tol=1e-15)
         assert whole == -np.inf
+
+    @pytest.mark.parametrize("vocab", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_bit_identical_to_rowwise_formula(self, vocab, n):
+        a = 4.0 * derive_rng(n, "lse-rows", vocab).standard_normal((n, 3, vocab))
+        want = rowwise_logsumexp(a, axis=-1)
+        np.testing.assert_array_equal(logsumexp(a, axis=-1), want)
+        np.testing.assert_array_equal(logsumexp(a, axis=2), want)
+        np.testing.assert_array_equal(logsumexp(a, axis=2, keepdims=True), want[:, :, None])
+        np.testing.assert_array_equal(row_softmax(a), rowwise_softmax(a))
+
+    @pytest.mark.parametrize("vocab", [2, 3, 4, 7])
+    def test_whole_array_bit_identical(self, vocab):
+        rng = derive_rng(vocab, "lse-whole")
+        for a in (rng.standard_normal(vocab), rng.standard_normal((1, vocab)), rng.standard_normal((2, vocab))):
+            got = logsumexp(a)
+            assert got.shape == () and got == rowwise_logsumexp(a)
+            kept = logsumexp(a, keepdims=True)
+            assert kept.shape == (1,) * a.ndim
+            np.testing.assert_array_equal(kept, rowwise_logsumexp(a, keepdims=True))
+        np.testing.assert_array_equal(row_softmax(a[0]), rowwise_softmax(a[0]))
+
+    @pytest.mark.parametrize("shape", [(7, 2, 8), (1024, 2, 8), (7, 3, 64), (64, 1, 4096)])
+    def test_wide_vocabularies_agree_to_rounding(self, shape):
+        a = 3.0 * derive_rng(shape[-1], "lse-wide").standard_normal(shape)
+        np.testing.assert_allclose(logsumexp(a, axis=-1), rowwise_logsumexp(a, axis=-1), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(row_softmax(a), rowwise_softmax(a), rtol=1e-15, atol=0.0)
+        whole = a[0, 0]
+        np.testing.assert_allclose(logsumexp(whole), rowwise_logsumexp(whole), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("vocab", [3, 4])
+    def test_infinite_rows_match_rowwise_formula(self, vocab):
+        a = derive_rng(vocab, "lse-inf").standard_normal((5, 2, vocab))
+        a[0, 0, :] = -np.inf
+        a[1, 0, 1] = np.inf
+        a[2, 1, [0, 2]] = -np.inf
+        a[3, 0, [0, 1]] = np.inf
+        a[4, 1, 0], a[4, 1, 2] = -np.inf, np.inf
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(logsumexp(a, axis=-1), rowwise_logsumexp(a, axis=-1))
+            np.testing.assert_array_equal(row_softmax(a), rowwise_softmax(a))
+        assert logsumexp(a, axis=-1)[0, 0] == -np.inf
 
     def test_package_import_leaves_scipy_unloaded(self):
         import mcbridge

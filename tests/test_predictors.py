@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import forward_state
+from helpers import forward_state, rowwise_softmax
 
 from mcbridge.discrete import encode, enumerate_sequences, make_joint
 from mcbridge.oracle import MarginalTable, joint_posterior, token_marginals
@@ -108,6 +108,19 @@ class TestTrainPredictor:
         pred = train_predictor(corpus, TrainConfig(steps=500, seed=1), vocab=2, length=2)
         rows = pred.marginals_batch(np.zeros((1, 4)), 6.0)
         np.testing.assert_allclose(rows.sum(axis=2), 1.0, atol=1e-12)
+
+
+class TestTrainedForward:
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_marginals_batch_bit_identical_to_dense_formula(self, n):
+        nu = make_joint("dirichlet", 4, 3, seed=2, alpha=0.8)
+        pred = train_predictor(nu, TrainConfig(steps=40, hidden=16, seed=3))
+        states = derive_rng(n, "forward").standard_normal((n, 12))
+        p = pred.params
+        feats = pred._features(states, 0.7)
+        logits = np.tanh(feats @ p["w1"].T + p["b1"]) @ p["w2"].T + p["b2"]
+        got = pred.marginals_batch(states, 0.7)
+        np.testing.assert_array_equal(got, rowwise_softmax(logits.reshape(n, 3, 4)))
 
 
 class TestSerialization:
