@@ -10,7 +10,7 @@ index(w) = sum_l w_l * V^(L-1-l).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,22 @@ class EnumerationLimitError(ValueError):
     """V^L exceeds the configured enumeration cap."""
 
 
+def _space_size(vocab: int, length: int, limit: int) -> int | None:
+    """V^L, or None once it exceeds ``limit``; huge V or L never build a huge integer."""
+    n = 1
+    for _ in range(length if vocab > 1 else 0):
+        n *= vocab
+        if n > limit:
+            return None
+    return n
+
+
 def _check_space(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     if vocab < 1 or length < 1:
         raise ValueError(f"need vocab >= 1 and length >= 1, got V={vocab}, L={length}")
-    n = vocab**length
-    if n > cap:
-        raise EnumerationLimitError(f"V^L = {n} exceeds the enumeration cap {cap}")
+    n = _space_size(vocab, length, cap)
+    if n is None:
+        raise EnumerationLimitError(f"V^L for V={vocab}, L={length} exceeds the enumeration cap {cap}")
     return n
 
 
@@ -162,21 +172,24 @@ class JointDist:
     vocab: int
     length: int
     probs: np.ndarray
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the enumeration cap guards operations that build V^L x (L*V)
         # matrices; holding the table itself only needs the V^L entries
         if self.vocab < 1 or self.length < 1:
             raise ValueError(f"need vocab >= 1 and length >= 1, got V={self.vocab}, L={self.length}")
-        n = self.vocab**self.length
         p = np.asarray(self.probs, dtype=float)
+        n = _space_size(self.vocab, self.length, p.size)
         if p.shape != (n,):
-            raise ValueError(f"probs must have shape ({n},), got {p.shape}")
+            size = f"V^L > {p.size}" if n is None else f"V^L = {n}"
+            raise ValueError(f"probs has shape {p.shape}, but V={self.vocab}, L={self.length} need {size} entries")
         if np.any(p < 0.0) or not np.all(np.isfinite(p)):
             raise ValueError("probs must be finite and nonnegative")
         if abs(p.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"probs sum to {p.sum()!r}, not 1 within {_SUM_TOL}")
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "_cdf", np.cumsum(p))
 
     @property
     def dim(self) -> int:
@@ -190,9 +203,8 @@ class JointDist:
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n iid sequence indices via inverse CDF on one uniform per draw."""
-        cdf = np.cumsum(self.probs)
         u = rng.random(n)
-        return np.minimum(np.searchsorted(cdf, u, side="left"), self.probs.size - 1)
+        return np.minimum(np.searchsorted(self._cdf, u, side="left"), self.probs.size - 1)
 
     def position_marginals(self) -> np.ndarray:
         """(L, V) matrix of per-position token marginals."""

@@ -7,9 +7,14 @@ multi-information, the coordinate-wise endpoint filter, and exact densities
 of the one-step reverse kernels (true posterior-predictive vs. the
 marginal-factorized replacement).
 
-All posterior math runs in log space and is shifted by the maximum before
-exponentiating; the contraction-to-variance ratio c_t/sigma_t^2 explodes at
-small t and would overflow plain exponentials.
+The posterior weights nu(w) * prod_l exp((c/sigma^2) x_{l,w_l}) are built in
+one of two ways, chosen per chain. When the chain's log weights span less
+than 700 nats (the exp floor), they are made in product form: L*V
+exponentials of the per-position logits, each shifted by its own maximum,
+multiplied over the V^L index walk and by the normalized prior. Wider chains
+(low t, far-out states, peaked kernel-KL weights) run in log space: the V^L
+logits are shifted by their maximum and exponentiated once each, since
+c_t/sigma_t^2 explodes at small t and would overflow plain exponentials.
 """
 
 from __future__ import annotations
@@ -155,11 +160,12 @@ _BLOCK_BYTES = 2 << 20
 _EXP_FLOOR = -700.0
 
 
-def _sequence_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (V^L, m) with sum_l x[l, w_l, :] for every big-endian index w.
+def _sequence_fold(x: np.ndarray, op, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (V^L, m) with op over l of x[l, w_l, :] for every big-endian index w.
 
-    The table is built in place from the last position to the first, so
-    each add runs over whole rows of m chains.
+    ``op`` is ``np.add`` (sums of logits) or ``np.multiply`` (products of
+    weights). The table is built in place from the last position to the
+    first, so each step runs over whole rows of m chains.
     """
     length, vocab, _ = x.shape
     space = len(out)
@@ -170,16 +176,18 @@ def _sequence_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         base = space - width * vocab
         # the last slice is the tail itself, so it is written after the others read it
         for v in range(vocab):
-            np.add(tail, x[pos, v], out=out[base + v * width : base + (v + 1) * width])
+            op(tail, x[pos, v], out=out[base + v * width : base + (v + 1) * width])
         width *= vocab
     return out
 
 
 def _table_marginals(probs: np.ndarray, length: int, vocab: int) -> np.ndarray:
-    """(L, V, m) per-position marginals of the columns of ``probs`` (V^L, m).
+    """(L, V, m) per-position marginals of the columns of ``probs`` (V^L, m); overwrites ``probs``.
 
-    Positions are summed out one at a time from the front; each position's
-    row is then renormalized against accumulated rounding.
+    Positions are summed out one at a time from the front, the rest of the
+    table accumulating in place in its first slab (the order of a sum over
+    the leading axis); each position's row is then renormalized against
+    accumulated rounding.
     """
     m = probs.shape[1]
     out = np.empty((length, vocab, m))
@@ -187,8 +195,9 @@ def _table_marginals(probs: np.ndarray, length: int, vocab: int) -> np.ndarray:
     for pos in range(length):
         blocks = rest.reshape(vocab, -1, m)
         blocks.sum(axis=1, out=out[pos])
-        if pos < length - 1:
-            rest = blocks.sum(axis=0)
+        rest = blocks[0]
+        for block in blocks[1:]:
+            rest += block
     out /= out.sum(axis=1, keepdims=True)
     return out
 
@@ -206,7 +215,7 @@ def _exp_into(t: float, x: np.ndarray, log_weights: np.ndarray, out: np.ndarray)
     the table's size is made. Logits more than -_EXP_FLOOR below their
     column maximum give weight 0; each column sum is at least 1.
     """
-    _sequence_sums(x, out)
+    _sequence_fold(x, np.add, out)
     out += log_weights[:, None]
     shift = out.max(axis=0)
     if not np.all(np.isfinite(shift)):
@@ -219,33 +228,78 @@ def _exp_into(t: float, x: np.ndarray, log_weights: np.ndarray, out: np.ndarray)
     return shift
 
 
-def _exp_blocks(nu: JointDist, t: float, log_weights: np.ndarray, scale: float, vectors: np.ndarray):
-    """Yield (lo, hi, table, shift): ``_exp_into`` of scale * vectors[lo:hi]
-    (rows in R^(L*V)) as the first hi - lo columns of a (V^L, hi - lo + 1) table.
+def _product_into(x: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_exp_into`` in product form, for columns whose logits span less than -_EXP_FLOOR.
 
-    Blocks hold ``_block_rows`` rows and reuse one buffer. The last column is
-    a spare zero vector: with at least two columns, numpy sums along the
-    sequence axis one entry at a time in index order (with one column it
-    would switch to pairwise summation), so a row's values do not depend on
-    its block or batch.
+    Fills ``out`` (V^L, m) with weights[w] * prod_l exp(x[l, w_l, :] - max_v x[l, v, :])
+    and returns the per-column shift sum_l max_v x[l, v, :]; ``weights`` is the
+    weight table divided by its maximum. Within that span every nonzero entry
+    and every partial product lies in (e^_EXP_FLOOR, 1], so the entries are
+    exp(logits - shift) with L*V exps per column, no floor and no underflow.
     """
-    n, space = len(vectors), log_weights.size
+    peak = np.maximum.reduce(x, axis=1)
+    e = x - peak[:, None, :]
+    np.exp(e, out=e)
+    _sequence_fold(e, np.multiply, out)
+    out *= weights[:, None]
+    return np.add.reduce(peak, axis=0)
+
+
+def _exp_blocks(nu: JointDist, t: float, probs: np.ndarray, scale: float, vectors: np.ndarray):
+    """Yield (rows, table, shift): the weights probs[w] * exp(sum_l s[l, w_l]) of
+    s = scale * vectors[rows] (rows in R^(L*V)) as the first len(rows) columns
+    of a (V^L, len(rows) + 1) table, each column scaled by exp(-shift).
+
+    A row takes the product path (``_product_into``) when the spread of its
+    logits, sum_l (max_v s_l - min_v s_l) plus the range of the finite log
+    weights, is below -_EXP_FLOOR, and the log path (``_exp_into``) otherwise.
+    The rows are taken ``_block_rows`` at a time, and the rows of each path
+    run as one block in one reused buffer; ``rows`` is a slice or an index
+    array. The last column is a spare zero vector: with at least two columns,
+    numpy sums along the sequence axis one entry at a time in index order
+    (with one column it would switch to pairwise summation), so a row's
+    values do not depend on its block or batch.
+    """
+    n, space = len(vectors), probs.size
+    log_weights = None  # made on the first log-path block
+    top = probs.max()
+    weights = probs / top
+    log_range = math.log(top) - math.log(probs.min(where=probs > 0.0, initial=top))
     rows = _block_rows(space)
     buf = np.empty((space, min(rows, n) + 1))
-    x = np.zeros((nu.dim, min(rows, n) + 1))
+    x = np.empty((nu.length, nu.vocab, min(rows, n) + 1))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        m = hi - lo + 1
-        x[:, : m - 1] = vectors[lo:hi].T
-        x[:, m - 1] = 0.0
-        scaled = scale * x[:, :m].reshape(nu.length, nu.vocab, m)
-        table = buf[:, :m]
-        yield lo, hi, table, _exp_into(t, scaled, log_weights, table)
+        # vocabulary-major, so the spread is elementwise passes over rows of chains
+        s = np.multiply(vectors[lo:hi].T, scale, out=np.empty((nu.dim, hi - lo))).reshape(nu.length, nu.vocab, -1)
+        spread = np.maximum.reduce(s, axis=1)
+        spread -= np.minimum.reduce(s, axis=1)
+        product = np.add.reduce(spread, axis=0) < -_EXP_FLOOR - log_range
+        for part, in_product in ((np.flatnonzero(product), True), (np.flatnonzero(~product), False)):
+            m = len(part) + 1
+            if m == 1:
+                continue
+            if part[-1] - part[0] == m - 2:  # a run of rows: slices copy nothing
+                part = slice(part[0], part[-1] + 1)
+                at = slice(lo + part.start, lo + part.stop)
+            else:
+                at = lo + part
+            block = x[:, :, :m]
+            block[:, :, :-1] = s[:, :, part]
+            block[:, :, -1] = 0.0
+            table = buf[:, :m]
+            if in_product:
+                shift = _product_into(block, weights, table) + math.log(top)
+            else:
+                if log_weights is None:
+                    log_weights = _log_table(probs)
+                shift = _exp_into(t, block, log_weights, table)
+            yield at, table, shift
 
 
 def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
-    """Yield (lo, hi, table): the normalized joint posterior of states[lo:hi]
-    as the first hi - lo columns of a (V^L, hi - lo + 1) table (see ``_exp_blocks``)."""
+    """Yield (rows, table): the normalized joint posterior of states[rows]
+    as the first len(rows) columns of a (V^L, len(rows) + 1) table (see ``_exp_blocks``)."""
     co = ou_coeffs(t)
     if co.sigma2 <= 0.0:
         raise ValueError("posterior needs t > 0")
@@ -254,9 +308,9 @@ def _posterior_blocks(nu: JointDist, t: float, states: np.ndarray):
         raise ValueError("states must be finite")
     if states.shape[1] != nu.dim:
         raise ValueError(f"state dimension {states.shape[1]} != {nu.dim}")
-    for lo, hi, table, _ in _exp_blocks(nu, t, _log_table(nu.probs), co.c / co.sigma2, states):
+    for rows, table, _ in _exp_blocks(nu, t, nu.probs, co.c / co.sigma2, states):
         table /= table.sum(axis=0)
-        yield lo, hi, table
+        yield rows, table
 
 
 def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray) -> np.ndarray:
@@ -269,8 +323,8 @@ def joint_posterior_probs(nu: JointDist, t: float, states: np.ndarray) -> np.nda
     """
     states = np.atleast_2d(states)
     out = np.empty((len(states), nu.probs.size))
-    for lo, hi, table in _posterior_blocks(nu, t, states):
-        out[lo:hi] = table[:, :-1].T
+    for rows, table in _posterior_blocks(nu, t, states):
+        out[rows] = table[:, :-1].T
     return out
 
 
@@ -284,8 +338,8 @@ def posterior_marginals(nu: JointDist, t: float, states: np.ndarray) -> np.ndarr
     """
     states = np.atleast_2d(states)
     out = np.empty((len(states), nu.length, nu.vocab))
-    for lo, hi, table in _posterior_blocks(nu, t, states):
-        out[lo:hi] = _table_marginals(table, nu.length, nu.vocab)[:, :, :-1].transpose(2, 0, 1)
+    for rows, table in _posterior_blocks(nu, t, states):
+        out[rows] = _table_marginals(table, nu.length, nu.vocab)[:, :, :-1].transpose(2, 0, 1)
     return out
 
 
@@ -413,31 +467,31 @@ def true_kernel_logdensities(nu: JointDist, y: np.ndarray, u_k: float, u_next: f
     log-mass of the decoded sequence, and -inf off the support.
     """
     post = joint_posterior_probs(nu, u_k, y)[0]
-    return _kernel_logdensities(nu, _log_table(post), y, u_k, u_next, z)
+    return _kernel_logdensities(nu, post, y, u_k, u_next, z)
 
 
 def _kernel_logdensities(
-    nu: JointDist, log_post: np.ndarray, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray
+    nu: JointDist, post: np.ndarray, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray
 ) -> np.ndarray:
-    """``true_kernel_logdensities`` given the log joint posterior at (u_k, y).
+    """``true_kernel_logdensities`` given the joint posterior at (u_k, y).
 
     With r = z - b y and |e(w)|^2 = L, each mixture component's exponent is
     -(|r|^2 + a^2 L) / (2 var) + (a / var) <r, e(w)>, so the log-sum-exp over
     the V^L endpoints is the exp kernel of the posterior run on the rows of r
-    with log q(w | y) as weights, in blocks of ``_block_rows`` rows; a row's
+    with q(w | y) as weights, in blocks of ``_block_rows`` rows; a row's
     value does not depend on the block size.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     a, b, var = reverse_step_coeffs(u_next, u_k)
     if var == 0.0:
         toks, exact = onehot_tokens(z, nu.vocab)
-        return np.where(exact, log_post[token_index(toks, nu.vocab)], -math.inf)
+        return np.where(exact, _log_table(post)[token_index(toks, nu.vocab)], -math.inf)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
     r = z - b * np.asarray(y, dtype=float)[None, :]
     out = np.empty(len(r))
-    for lo, hi, table, shift in _exp_blocks(nu, u_next, log_post, a / var, r):
-        out[lo:hi] = (np.log(table.sum(axis=0)) + shift)[:-1]
+    for rows, table, shift in _exp_blocks(nu, u_next, post, a / var, r):
+        out[rows] = (np.log(table.sum(axis=0)) + shift)[:-1]
     out -= ((r * r).sum(axis=1) + a * a * nu.length) / (2.0 * var)
     return out - 0.5 * nu.dim * math.log(2.0 * math.pi * var)
 
@@ -511,7 +565,7 @@ def kernel_kl_estimate(
     cdf = np.cumsum(post)
     idx = np.minimum(np.searchsorted(cdf, rng.random(n), side="left"), post.size - 1)
     z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
-    diff = _kernel_logdensities(nu, _log_table(post), y, u_k, u_next, z) - mcb_kernel_logdensities(
+    diff = _kernel_logdensities(nu, post, y, u_k, u_next, z) - mcb_kernel_logdensities(
         m=marg, y=y, u_k=u_k, u_next=u_next, z=z
     )
     mask = np.isfinite(diff)

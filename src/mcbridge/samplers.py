@@ -91,10 +91,18 @@ class ChainTrace:
 
 
 def _sample_categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row, scanning token ids in index order."""
-    cdf = np.cumsum(rows, axis=-1)
-    idx = np.sum(cdf < uniforms[..., None], axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1)
+    """Inverse-CDF draw per row, scanning token ids in index order.
+
+    The CDF is a running sum over the first V - 1 token columns, each added
+    to every row at once, and the token is the count of CDF entries below the
+    row's uniform, so the last token takes whatever the rounded CDF leaves.
+    """
+    idx = np.zeros(uniforms.shape, dtype=np.intp)
+    cdf = np.zeros(uniforms.shape)
+    for v in range(rows.shape[-1] - 1):
+        cdf += rows[..., v]
+        idx += cdf < uniforms
+    return idx
 
 
 def _with_noise(mean: np.ndarray, var: float, noise: np.ndarray | None) -> np.ndarray:

@@ -225,6 +225,57 @@ class TestPosteriorMarginals:
         assert rows.shape == (n, 6, 4)
         assert peak < 2 * oracle._BLOCK_BYTES + rows.nbytes
 
+    @staticmethod
+    def _count_paths(monkeypatch) -> dict:
+        """Count the columns (spares included) each exp path fills."""
+        cols = {"product": 0, "log": 0}
+        for name, key in (("_product_into", "product"), ("_exp_into", "log")):
+            fill = getattr(oracle, name)
+
+            def spy(*args, fill=fill, key=key):
+                cols[key] += args[-1].shape[1]
+                return fill(*args)
+
+            monkeypatch.setattr(oracle, name, spy)
+        return cols
+
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    def test_mixed_paths_bit_identical_to_solo_rows_and_budgets(self, cap_law, t, monkeypatch):
+        # far rows (log path) interleaved with on-law rows (product path)
+        rng = derive_rng(47, "mixed")
+        x = _forward_states(cap_law, t, 23, rng)
+        x[[2, 9, 10, 17]] = 200.0 * rng.standard_normal((4, 24))
+        cols = self._count_paths(monkeypatch)
+        marg = posterior_marginals(cap_law, t, x)
+        assert cols == {"product": 19 + 1, "log": 4 + 1}
+        probs = oracle.joint_posterior_probs(cap_law, t, x)
+        for i, row in enumerate(x):
+            np.testing.assert_array_equal(posterior_marginals(cap_law, t, row[None]), marg[i : i + 1])
+            np.testing.assert_array_equal(oracle.joint_posterior_probs(cap_law, t, row[None]), probs[i : i + 1])
+        for budget in (8 * 4096, 3 * 8 * 4096, 1 << 30):  # 1 row, 3 rows, all rows per block
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(posterior_marginals(cap_law, t, x), marg)
+            np.testing.assert_array_equal(oracle.joint_posterior_probs(cap_law, t, x), probs)
+
+    @pytest.mark.parametrize("t", [0.002, 0.05])
+    def test_copy_law_disagreeing_positions_match_dense_formula(self, copy3x2, t, monkeypatch):
+        # the prior is 0 at the per-position argmax (0, 1), so every kept weight is far below its factors' maxima
+        co = ou_coeffs(t)
+        rng = derive_rng(48, "disagree")
+        x = co.c * np.array([1.0, 0, 0, 0, 1, 0]) + 0.1 * co.sigma * rng.standard_normal((16, 6))
+        cols = self._count_paths(monkeypatch)
+        probs = oracle.joint_posterior_probs(copy3x2, t, x)
+        marg = posterior_marginals(copy3x2, t, x)
+        assert cols["log"] == 0
+        onehot = onehot_matrix(3, 2)
+        with np.errstate(divide="ignore"):
+            logits = np.log(copy3x2.probs) + (co.c / co.sigma2) * (x @ onehot.T)
+        dense = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        np.testing.assert_allclose(probs, dense, rtol=1e-12, atol=0.0)
+        assert np.all(np.isfinite(marg)) and np.all(marg >= 0.0)
+        np.testing.assert_allclose(marg.sum(axis=2), 1.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(marg, (dense @ onehot).reshape(16, 2, 3), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_states_name_the_level(self, copy3x2, sign):
         x = np.full((2, 6), sign * 1e300)

@@ -51,6 +51,37 @@ class RawPredictor(MarginalPredictor):
 _CFG = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 4), method="mcb")
 
 
+def _cumsum_categorical(rows, uniforms):
+    """The inverse-CDF draw as a cumsum, count and clip along the last axis."""
+    idx = np.sum(np.cumsum(rows, axis=-1) < uniforms[..., None], axis=-1)
+    return np.minimum(idx, rows.shape[-1] - 1)
+
+
+class TestSampleCategoricalRows:
+    @pytest.mark.parametrize("shape", [(1250, 2, 3), (512, 6, 4), (7, 3, 1), (5, 2, 2), (3, 1, 7)])
+    def test_matches_cumsum_formula(self, shape):
+        rng = derive_rng(len(shape), "categorical", *shape)
+        rows = rng.dirichlet(np.full(shape[-1], 0.5), size=shape[:-1])
+        rows[rng.random(rows.shape) < 0.3] = 0.0  # zero entries, then renormalize what is left
+        rows[rows.sum(axis=-1) == 0.0, 0] = 1.0
+        rows /= rows.sum(axis=-1, keepdims=True)
+        uniforms = rng.random(shape[:-1])
+        # uniforms exactly on CDF entries, at 0 and just below 1
+        cdf = np.cumsum(rows, axis=-1)
+        edge = rng.random(shape[:-1]) < 0.5
+        uniforms[edge] = np.take_along_axis(cdf, rng.integers(0, shape[-1], shape[:-1])[..., None], -1)[..., 0][edge]
+        uniforms.flat[0], uniforms.flat[-1] = 0.0, np.nextafter(1.0, 0.0)
+        got = _sample_categorical_rows(rows, uniforms)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, _cumsum_categorical(rows, uniforms))
+
+    def test_rounded_cdf_below_the_uniform_takes_the_last_token(self):
+        rows = np.array([[[0.1, 0.2, 0.3]], [[0.0, 0.0, 0.0]]])  # CDFs ending below u
+        uniforms = np.array([[0.99], [0.5]])
+        np.testing.assert_array_equal(_sample_categorical_rows(rows, uniforms), [[2], [2]])
+        np.testing.assert_array_equal(_cumsum_categorical(rows, uniforms), [[2], [2]])
+
+
 class TestMcbStep:
     def test_terminal_step_is_exact_onehot(self, copy_oracle):
         rng = derive_rng(0, "m1")
