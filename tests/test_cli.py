@@ -321,15 +321,15 @@ class TestDistributionDocuments:
         assert code == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("vocab, length", [(10, 5000), (10**9, 10**9), (1, 10**9)])
+    @pytest.mark.parametrize("vocab, length", [(10, 5000), (10**9, 10**9), (2, 10**9)])
     def test_huge_space_exits_2_naming_v_and_l(self, tmp_path, capsys, vocab, length):
         # V^L is compared against the table without building a huge integer
         path = tmp_path / "nu.json"
-        path.write_text(json.dumps({"V": vocab, "L": length, "probs": [0.5, 0.5]}))
+        path.write_text(json.dumps({"V": vocab, "L": length, "probs": [1.0]}))
         code = main(["sample", "--dist", str(path), "--oracle", "--chains", "4", "--out", str(tmp_path / "r")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"V={vocab}, L={length}" in err and "probs has shape (2,)" in err
+        assert f"V={vocab}, L={length}" in err and "probs has shape (1,)" in err
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nu.json"
