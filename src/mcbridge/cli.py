@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -337,6 +338,37 @@ _VERIFY_DEFAULTS = {
 }
 
 
+# Least value of each verify count; the sample counts are the estimators' own minimums.
+_VERIFY_COUNTS = {
+    "states_per_level": 1,
+    "moment_trials": 1,
+    "bound_instances": 1,
+    "bound_n_mc": 1000,
+    "gap_steps": 1,
+    "gap_nodes": 1,
+    "gap_n_mc": 1000,
+}
+
+
+def _check_verify_options(opts: dict) -> None:
+    """Reject options under which a check would pass without testing anything.
+
+    A tolerance of 0 is kept: it makes its check fail, which is not vacuous.
+    """
+    for key, least in _VERIFY_COUNTS.items():
+        if opts[key] < least:
+            raise ValueError(f"verify option {key!r} must be >= {least}, got {opts[key]!r}")
+    if not opts["levels"]:
+        raise ValueError("verify option 'levels' must be nonempty")
+    positive = {"levels": opts["levels"], "bound_sigma": [opts["bound_sigma"]], "gap_sigma": [opts["gap_sigma"]]}
+    for key, values in positive.items():
+        if not all(math.isfinite(v) and v > 0.0 for v in values):
+            raise ValueError(f"verify option {key!r} must be finite and > 0, got {opts[key]!r}")
+    for key in ("identity_tol", "moment_tol"):
+        if not (math.isfinite(opts[key]) and opts[key] >= 0.0):
+            raise ValueError(f"verify option {key!r} must be finite and >= 0, got {opts[key]!r}")
+
+
 # On a product law the KL estimate, the multi-information and the SE are all
 # 0 up to rounding (~1e-16), so the bound is checked with the same 1e-12
 # slack as acceptance criterion 2.
@@ -346,6 +378,7 @@ _BOUND_SLACK = 1e-12
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     opts = _merged(_VERIFY_DEFAULTS, config, args)
+    _check_verify_options(opts)
     nu = JointDist.load(args.dist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

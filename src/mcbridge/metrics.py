@@ -12,13 +12,20 @@ Three kinds of checks live here:
     weighted squared denoising errors of the frozen-mean estimate and the
     bridge-filtered estimate, with common random numbers so the sign of the
     gap is resolvable at desk-scale sample counts.
+
+The quadrature nodes of the gap are independent: each draws from its own
+stream, derived from one word of the caller's generator, in fixed chunks of
+samples, and they run on the calling thread plus one helper thread per
+further CPU. The report is the same for any CPU count and block budget.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +33,6 @@ from .discrete import JointDist, TokenSequence, onehot_matrix, token_index
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     MarginalTable,
-    _block_rows,
     discrete_kl,
     factorized_posterior,
     filtered_endpoint_means,
@@ -36,6 +42,7 @@ from .oracle import (
     row_entropy,
     token_marginals,
 )
+from .seeding import derive_rng
 
 
 def _sequence_array(samples: Sequence[TokenSequence]) -> np.ndarray:
@@ -257,6 +264,87 @@ class GapReport:
         }
 
 
+# Samples per draw chunk of a denoising-gap node. A constant, so the report
+# does not depend on the oracle's block budget or on the CPU count.
+_GAP_CHUNK = 2048
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _run_parallel(fn: Callable[[int], object], n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], run on the calling thread plus one helper thread
+    per further CPU, each pulling the next index under a lock.
+
+    The calling thread works too, so no thread sits idle holding its own
+    malloc arena. After the first exception no new index is handed out; it is
+    re-raised once every helper has joined.
+    """
+    results: list = [None] * n
+    errors: list[BaseException] = []
+    pending = iter(range(n))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(n, _cpu_count()) - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        work()
+    finally:
+        for h in helpers:
+            h.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _gap_node(nu: JointDist, onehot: np.ndarray, u: float, u_k: float, n_mc: int, rng: np.random.Generator):
+    """(ddpm_err, ddpm_se, mcb_err, mcb_se, gap, gap_se) of one quadrature node.
+
+    Draws in chunks of _GAP_CHUNK samples: per chunk the endpoint indices,
+    then the X_u normals, then the X_{u_k} normals.
+    """
+    co_u = ou_coeffs(u)
+    co_d = ou_coeffs(u_k - u)
+    ddpm_sq, mcb_sq = np.empty(n_mc), np.empty(n_mc)
+    for lo in range(0, n_mc, _GAP_CHUNK):
+        hi = min(lo + _GAP_CHUNK, n_mc)
+        idx = nu.sample_indices(rng, hi - lo)
+        x_u = rng.standard_normal((hi - lo, nu.dim))
+        x_u *= co_u.sigma
+        x_u += co_u.c * onehot[idx]
+        x_uk = rng.standard_normal(x_u.shape)
+        x_uk *= co_d.sigma
+        x_uk += co_d.c * x_u
+        m_u = posterior_marginals(nu, u, x_u).reshape(hi - lo, -1)
+        prior_rows = posterior_marginals(nu, u_k, x_uk)
+        m_uk = prior_rows.reshape(hi - lo, -1)
+        m_bar = filtered_endpoint_means(prior_rows, x_u, x_uk, u, u_k).reshape(hi - lo, -1)
+        ddpm_sq[lo:hi] = ((m_u - m_uk) ** 2).sum(axis=1)
+        mcb_sq[lo:hi] = ((m_u - m_bar) ** 2).sum(axis=1)
+    diff = ddpm_sq - mcb_sq
+    sqrt_n = math.sqrt(n_mc)
+    return tuple(v for a in (ddpm_sq, mcb_sq, diff) for v in (float(a.mean()), float(a.std(ddof=1) / sqrt_n)))
+
+
 def denoising_gap(
     nu: JointDist,
     grid: NoiseGrid,
@@ -278,63 +366,42 @@ def denoising_gap(
     themselves (whose absolute-continuity preconditions are analytic
     assumptions, not checkable numerically).
 
-    Samples are processed in blocks of the oracle's ``_block_rows``: all
-    endpoint uniforms and all X_u normals are drawn first, then the X_{u_k}
-    normals block by block, so the report does not depend on the block size
-    and transient memory does not grow with n_mc.
+    One 64-bit word is taken from ``rng``; node i (counted over the nodes of
+    the non-skipped intervals, in order) then draws only from
+    ``derive_rng(word, "gap-node", i)``, in chunks of _GAP_CHUNK samples: the
+    endpoint indices, the X_u normals and the X_{u_k} normals of each chunk
+    in turn. The nodes run on every CPU (``_run_parallel``) and each keeps
+    only its own chunk and two per-sample error vectors, so the report
+    depends only on ``rng`` and the arguments, not on the oracle's block
+    budget or the CPU count, and transient memory does not grow with the
+    node count.
     """
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
     onehot = onehot_matrix(nu.vocab, nu.length)
-    rows = _block_rows(nu.probs.size)
     horizon = grid.horizon
     report = GapReport(n_mc=n_mc)
+    # (interval, t, u, u_k, coeff) per node
+    nodes = []
     for k, (u_k, u_next) in enumerate(grid.pairs()):
         gamma = u_k - u_next
         if gamma <= 1e-12:
             report.skipped_intervals.append(k)
             continue
-        coeff = gamma / nodes_per_interval
         t_k = horizon - u_k
         for j in range(nodes_per_interval):
             frac = (j + 1.0) / (nodes_per_interval + 1.0)
-            t = t_k + frac * gamma
-            u = u_k - frac * gamma
+            nodes.append((k, t_k + frac * gamma, u_k - frac * gamma, u_k, gamma / nodes_per_interval))
+    word = int(rng.integers(1 << 64, dtype=np.uint64))
 
-            idx = nu.sample_indices(rng, n_mc)
-            co_u = ou_coeffs(u)
-            x_u = rng.standard_normal((n_mc, nu.dim))
-            x_u *= co_u.sigma
-            co_d = ou_coeffs(u_k - u)
-            ddpm_sq, mcb_sq = np.empty(n_mc), np.empty(n_mc)
-            for lo in range(0, n_mc, rows):
-                hi = min(lo + rows, n_mc)
-                xu = x_u[lo:hi]
-                xu += co_u.c * onehot[idx[lo:hi]]
-                x_uk = co_d.c * xu + co_d.sigma * rng.standard_normal(xu.shape)
-                m_u = posterior_marginals(nu, u, xu).reshape(hi - lo, -1)
-                prior_rows = posterior_marginals(nu, u_k, x_uk)
-                m_uk = prior_rows.reshape(hi - lo, -1)
-                m_bar = filtered_endpoint_means(prior_rows, xu, x_uk, u, u_k).reshape(hi - lo, -1)
-                ddpm_sq[lo:hi] = ((m_u - m_uk) ** 2).sum(axis=1)
-                mcb_sq[lo:hi] = ((m_u - m_bar) ** 2).sum(axis=1)
-            diff = ddpm_sq - mcb_sq
-            sqrt_n = math.sqrt(n_mc)
-            report.nodes.append(
-                GapNode(
-                    interval=k,
-                    t=float(t),
-                    u=float(u),
-                    weight=denoising_weight(u),
-                    coeff=float(coeff),
-                    ddpm_err=float(ddpm_sq.mean()),
-                    ddpm_se=float(ddpm_sq.std(ddof=1) / sqrt_n),
-                    mcb_err=float(mcb_sq.mean()),
-                    mcb_se=float(mcb_sq.std(ddof=1) / sqrt_n),
-                    gap=float(diff.mean()),
-                    gap_se=float(diff.std(ddof=1) / sqrt_n),
-                )
-            )
+    def run(i: int):
+        _, _, u, u_k, _ = nodes[i]
+        return _gap_node(nu, onehot, u, u_k, n_mc, derive_rng(word, "gap-node", i))
+
+    report.nodes.extend(
+        GapNode(k, float(t), float(u), denoising_weight(u), float(coeff), *stats)
+        for (k, t, u, _, coeff), stats in zip(nodes, _run_parallel(run, len(nodes)))
+    )
     return report

@@ -230,6 +230,17 @@ class TestVerify:
         assert bound["threshold"] == 1e-12
         assert bound["passed"], bound
 
+    def test_seeded_reruns_are_byte_identical(self, tmp_path, copy_dist):
+        # the gap nodes run on helper threads; the files must not show it
+        cfg = _write_config(tmp_path, QUICK_VERIFY)
+        names = ("checks.csv", "gap_nodes.csv", "verify_summary.json")
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["verify", "--dist", copy_dist, "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in names])
+        assert runs[0] == runs[1]
+
     def test_corrupted_distribution_fails_before_checks(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"V": 2, "L": 1, "probs": [0.7, 0.7]}))
@@ -253,6 +264,39 @@ class TestVerify:
         with (out / "gap_nodes.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 3  # gap_steps x default 3 nodes
+
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"levels": []}, "levels"),
+            ({"levels": [0.5, 0.0]}, "levels"),
+            ({"levels": [math.inf]}, "levels"),
+            ({"states_per_level": 0}, "states_per_level"),
+            ({"moment_trials": 0}, "moment_trials"),
+            ({"moment_trials": -3}, "moment_trials"),
+            ({"bound_instances": 0}, "bound_instances"),
+            ({"bound_n_mc": 999}, "bound_n_mc"),
+            ({"gap_steps": 0}, "gap_steps"),
+            ({"gap_nodes": 0}, "gap_nodes"),
+            ({"gap_n_mc": 10}, "gap_n_mc"),
+            ({"gap_sigma": -3.0}, "gap_sigma"),
+            ({"gap_sigma": math.nan}, "gap_sigma"),
+            ({"gap_sigma": 0.0}, "gap_sigma"),
+            ({"bound_sigma": -1.0}, "bound_sigma"),
+            ({"bound_sigma": math.nan}, "bound_sigma"),
+            ({"bound_sigma": math.inf}, "bound_sigma"),
+            ({"identity_tol": math.inf}, "identity_tol"),
+            ({"identity_tol": -1e-12}, "identity_tol"),
+            ({"moment_tol": math.nan}, "moment_tol"),
+        ],
+    )
+    def test_vacuous_option_exits_2_naming_key(self, tmp_path, copy_dist, capsys, patch, key):
+        # each of these used to pass every check without testing anything
+        cfg = _write_config(tmp_path, {**QUICK_VERIFY, **patch})
+        out = tmp_path / "verify"
+        assert main(["verify", "--dist", copy_dist, "--config", cfg, "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigTypes:

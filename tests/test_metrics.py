@@ -2,14 +2,16 @@
 identity + gap checks."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import forward_state
 
-from mcbridge import oracle
-from mcbridge.discrete import TokenSequence, make_joint
+from mcbridge import metrics, oracle
+from mcbridge.discrete import TokenSequence, make_joint, onehot_matrix
 from mcbridge.kernels import NoiseGrid
 from mcbridge.metrics import (
     denoising_gap,
@@ -215,6 +217,62 @@ class TestDenoisingGap:
         for budget in (8 * 64, 7 * 8 * 64, 1 << 30):  # 1 row, 7 rows, all rows per block
             monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
             assert denoising_gap(nu, grid, 2, 1000, derive_rng(13, "gblock")) == base
+
+    def test_report_independent_of_cpu_count(self, monkeypatch):
+        nu = make_joint("dirichlet", 4, 3, seed=2, alpha=0.8)
+        grid = NoiseGrid.uniform(6.0, 3)
+        reports = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(metrics, "_cpu_count", lambda cpus=cpus: cpus)
+            reports.append(denoising_gap(nu, grid, 2, 2500, derive_rng(15, "gcpu")))
+        assert len(reports[0].nodes) == 6
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_node_draws_only_from_its_own_stream(self, copy3x2):
+        # one word from the caller's generator, then node i reads (word, "gap-node", i)
+        grid = NoiseGrid.uniform(6.0, 2)
+        report = denoising_gap(copy3x2, grid, 2, 3000, derive_rng(16, "gstream"))
+        word = int(derive_rng(16, "gstream").integers(1 << 64, dtype=np.uint64))
+        onehot = onehot_matrix(copy3x2.vocab, copy3x2.length)
+        pairs = list(grid.pairs())
+        for i, node in enumerate(report.nodes):
+            u_k = pairs[node.interval][0]
+            stats = metrics._gap_node(copy3x2, onehot, node.u, u_k, 3000, derive_rng(word, "gap-node", i))
+            assert stats == (node.ddpm_err, node.ddpm_se, node.mcb_err, node.mcb_se, node.gap, node.gap_se)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_node_exception_reaches_caller(self, monkeypatch, copy3x2, cpus):
+        real = metrics.filtered_endpoint_means
+
+        def failing(prior_rows, states_u, states_uk, u, u_k):
+            if u_k < 4.0:  # every node of the second interval, which starts at 3
+                raise FloatingPointError(f"node at u={u}")
+            return real(prior_rows, states_u, states_uk, u, u_k)
+
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(metrics, "filtered_endpoint_means", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="node at u="):
+            denoising_gap(copy3x2, NoiseGrid.uniform(6.0, 2), 3, 1000, derive_rng(17, "gfail"))
+        assert threading.active_count() == before
+
+    def test_run_parallel_hands_out_each_index_once(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 8)
+        calls = []
+
+        def square(i):
+            calls.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = metrics._run_parallel(square, 2000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
 
     def test_peak_memory_bounded(self):
         # full-length n_mc x (L*V) arrays for every intermediate take ~19 MiB here
