@@ -15,7 +15,6 @@ Library layout:
 from .discrete import (
     JointDist,
     TokenSequence,
-    decode_argmax,
     encode,
     enumerate_sequences,
     make_joint,
@@ -46,21 +45,16 @@ from .oracle import (
     EndpointPosterior,
     MarginalTable,
     factorized_posterior,
-    filtered_endpoint_mean,
     joint_posterior,
     kernel_kl_estimate,
-    mcb_kernel_logdensity,
     multi_information,
     token_marginals,
-    true_kernel_logdensity,
 )
 from .predictors import (
     MarginalPredictor,
     OraclePredictor,
     TrainConfig,
     TrainedPredictor,
-    apply_nucleus,
-    apply_temperature,
     oracle_predictor,
     train_predictor,
 )

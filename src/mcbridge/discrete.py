@@ -112,15 +112,6 @@ def encode(seq: TokenSequence) -> np.ndarray:
     return onehot(seq.tokens, seq.vocab)
 
 
-def decode_argmax(x: np.ndarray, vocab: int) -> TokenSequence:
-    """Per-block argmax decoding; ties break toward the lowest token id."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % vocab != 0:
-        raise ValueError(f"state of size {x.size} is not a multiple of V={vocab}")
-    toks = np.argmax(x.reshape(-1, vocab), axis=1)
-    return TokenSequence(tokens=tuple(int(t) for t in toks), vocab=vocab)
-
-
 def enumerate_sequences(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> list[TokenSequence]:
     """All V^L sequences in big-endian index order."""
     n = _check_space(vocab, length, cap)
@@ -194,9 +185,6 @@ class JointDist:
     @property
     def dim(self) -> int:
         return self.vocab * self.length
-
-    def prob_of(self, seq: TokenSequence) -> float:
-        return float(self.probs[seq.index])
 
     def sequence_at(self, index: int) -> TokenSequence:
         return TokenSequence.from_index(index, self.vocab, self.length)

@@ -96,6 +96,8 @@ def bridge_params(s: float, t: float, x_t: np.ndarray, x0: np.ndarray) -> Bridge
 
     mean = [sinh(t-s)/sinh t] x0 + [sinh s/sinh t] x_t
     var  = 2 sinh(s) sinh(t-s) / sinh(t)
+
+    These are ``reverse_step_coeffs(s, t)``; at s = t the bridge is pinned at x_t.
     """
     s = _check_time(s, "s")
     t = _check_time(t, "t")
@@ -103,17 +105,10 @@ def bridge_params(s: float, t: float, x_t: np.ndarray, x0: np.ndarray) -> Bridge
         raise ValueError(f"need 0 <= s <= t with t > 0, got s={s}, t={t}")
     _check_bridge_level(t)
     x_t = np.asarray(x_t, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if s == 0.0:
-        return BridgeParams(mean=x0.copy(), var=0.0)
     if s == t:
         return BridgeParams(mean=x_t.copy(), var=0.0)
-    sh_t = stable_sinh(t)
-    sh_s = stable_sinh(s)
-    sh_ts = stable_sinh(t - s)
-    mean = (sh_ts / sh_t) * x0 + (sh_s / sh_t) * x_t
-    var = 2.0 * sh_s * sh_ts / sh_t
-    return BridgeParams(mean=mean, var=var)
+    a, b, var = reverse_step_coeffs(s, t)
+    return BridgeParams(mean=a * np.asarray(x0, dtype=float) + b * x_t, var=var)
 
 
 def bridge_drift(s: float, t: float, x_s: np.ndarray, x_t: np.ndarray) -> np.ndarray:
@@ -131,16 +126,14 @@ def frozen_mean_drift(t: float, y: np.ndarray, m_frozen: np.ndarray, horizon: fl
     """Reverse-time drift toward a frozen endpoint estimate.
 
     At reverse time t the remaining forward level is u = horizon - t, and the
-    drift is (m_frozen - y cosh u)/sinh u; identical to ``bridge_drift`` with
-    m_frozen in the pinned-endpoint role after the relabeling u = horizon - t.
+    drift is ``bridge_drift(0, u, y, m_frozen)``: (m_frozen - y cosh u)/sinh u.
     """
     t = _check_time(t, "t")
     horizon = _check_time(horizon, "horizon")
     if t >= horizon:
         raise ValueError(f"need t < horizon, got t={t}, horizon={horizon}")
     _check_bridge_level(horizon)
-    u = horizon - t
-    return (np.asarray(m_frozen, dtype=float) - np.asarray(y, dtype=float) * math.cosh(u)) / stable_sinh(u)
+    return bridge_drift(0.0, horizon - t, y, m_frozen)
 
 
 def fm_time_map(u: float) -> tuple[float, float]:

@@ -188,10 +188,6 @@ class GapNode:
     def weighted_gap(self) -> float:
         return self.coeff * self.weight * self.gap
 
-    @property
-    def weighted_gap_se(self) -> float:
-        return self.coeff * self.weight * self.gap_se
-
 
 @dataclass
 class GapReport:

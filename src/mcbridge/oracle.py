@@ -398,44 +398,6 @@ def multi_information(joint: EndpointPosterior, m: MarginalTable) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - log_prod[mask])))
 
 
-def filtered_endpoint_mean(
-    prior: JointDist | MarginalTable,
-    y_k: np.ndarray,
-    u_k: float,
-    u: float,
-    y_block: np.ndarray,
-    pos: int,
-) -> np.ndarray:
-    """Posterior-mean token indicator after observing one intermediate block.
-
-    Starting from the token prior at level u_k (the exact marginal
-    q_{u_k,pos}(. | y_k) when ``prior`` is a joint law, or the given table's
-    row otherwise), condition on the bridge observation X_{u,pos} = y_block:
-
-        p(v) propto prior(v) * N(y_block; a e_v + b (y_k)_pos, var I_V)
-
-    with a = sinh(u_k - u)/sinh(u_k), b = sinh(u)/sinh(u_k) and
-    var = 2 sinh(u) sinh(u_k - u)/sinh(u_k). Only the tilt exp(r_v / (2 sinh u))
-    with r = y_block - b * (y_k)_pos depends on v, since a/var = 1/(2 sinh u).
-    Returns sum_v p(v) e_v, i.e. the posterior itself as a simplex vector.
-    """
-    if not 0.0 < u < u_k:
-        raise ValueError(f"need 0 < u < u_k, got u={u}, u_k={u_k}")
-    y_k = np.asarray(y_k, dtype=float)
-    y_block = np.asarray(y_block, dtype=float)
-    if isinstance(prior, JointDist):
-        row = token_marginals(joint_posterior(prior, u_k, y_k)).probs[pos]
-        vocab = prior.vocab
-    else:
-        row = prior.probs[pos]
-        vocab = prior.vocab
-    if y_block.shape != (vocab,):
-        raise ValueError(f"y_block must have shape ({vocab},), got {y_block.shape}")
-    b = stable_sinh(u) / stable_sinh(u_k)
-    r = y_block - b * y_k[pos * vocab : (pos + 1) * vocab]
-    return row_softmax(_log_table(row) + r / (2.0 * stable_sinh(u)))
-
-
 def filtered_endpoint_means(
     prior_rows: np.ndarray,
     states_u: np.ndarray,
@@ -443,11 +405,15 @@ def filtered_endpoint_means(
     u: float,
     u_k: float,
 ) -> np.ndarray:
-    """Batched, all-position form of ``filtered_endpoint_mean``.
+    """Token rows at level u_k filtered by the bridge state observed at u < u_k.
 
-    prior_rows: (n, L, V) marginal tables at level u_k for each sample;
-    states_u / states_uk: (n, L*V) states at levels u < u_k. Returns the
-    (n, L, V) stack of filtered posterior rows.
+    prior_rows: (n, L, V) token priors at u_k, such as ``posterior_marginals``
+    of states_uk; states_u / states_uk: (n, L*V) states at u and u_k. Each row
+    becomes p(v) propto prior(v) * exp(r_v / (2 sinh u)) with r = y_u - b y_uk:
+    the bridge likelihood N(y_u; a e_v + b y_uk, var I), (a, b, var) =
+    ``reverse_step_coeffs(u, u_k)``, up to factors free of v, since
+    a/var = 1/(2 sinh u). Returns the (n, L, V)
+    filtered rows, which are the posterior-mean token indicators.
     """
     if not 0.0 < u < u_k:
         raise ValueError(f"need 0 < u < u_k, got u={u}, u_k={u_k}")
@@ -496,10 +462,6 @@ def _kernel_logdensities(
     return out - 0.5 * nu.dim * math.log(2.0 * math.pi * var)
 
 
-def true_kernel_logdensity(nu: JointDist, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> float:
-    return float(true_kernel_logdensities(nu, y, u_k, u_next, z)[0])
-
-
 def mcb_kernel_logdensities(
     m: MarginalTable,
     y: np.ndarray,
@@ -525,10 +487,6 @@ def mcb_kernel_logdensities(
     logits = logm[None, :, :] - sq / (2.0 * var)
     per_block = logsumexp(logits, axis=2) - 0.5 * vocab * math.log(2.0 * math.pi * var)
     return per_block.sum(axis=1)
-
-
-def mcb_kernel_logdensity(m: MarginalTable, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> float:
-    return float(mcb_kernel_logdensities(m, y, u_k, u_next, z)[0])
 
 
 class KernelKl(NamedTuple):

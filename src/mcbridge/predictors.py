@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .discrete import JointDist, index_matrix, json_type_matches, onehot
-from .oracle import MarginalTable, logsumexp, posterior_marginals, row_softmax
+from .oracle import logsumexp, posterior_marginals, row_softmax
 from .seeding import derive_rng
 
 
@@ -38,10 +38,6 @@ class MarginalPredictor(ABC):
     @abstractmethod
     def marginals_batch(self, states: np.ndarray, u: float) -> np.ndarray:
         """(n, L*V) states at one shared level -> (n, L, V) marginal rows."""
-
-    def marginals(self, x: np.ndarray, u: float) -> MarginalTable:
-        rows = self.marginals_batch(np.asarray(x, dtype=float)[None, :], u)[0]
-        return MarginalTable(probs=rows, level=float(u))
 
 
 class OraclePredictor(MarginalPredictor):
@@ -76,6 +72,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 0 or self.batch < 1 or self.hidden < 1:
             raise ValueError("steps must be >= 0 and batch/hidden >= 1")
+        for key in ("learning_rate", "u_min", "horizon"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"train option {key!r} must be finite, got {getattr(self, key)!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         if not 0.0 < self.u_min < self.horizon:
@@ -329,11 +328,3 @@ def nucleus_rows(rows: np.ndarray, p: float) -> np.ndarray:
     np.put_along_axis(keep, order, keep_sorted, axis=-1)
     out = np.where(keep, rows, 0.0)
     return out / out.sum(axis=-1, keepdims=True)
-
-
-def apply_temperature(m: MarginalTable, tau: float) -> MarginalTable:
-    return MarginalTable(probs=temperature_rows(m.probs, tau), level=m.level)
-
-
-def apply_nucleus(m: MarginalTable, p: float) -> MarginalTable:
-    return MarginalTable(probs=nucleus_rows(m.probs, p), level=m.level)

@@ -26,10 +26,11 @@ from mcbridge.metrics import (
 )
 from mcbridge.oracle import (
     MarginalTable,
-    filtered_endpoint_mean,
+    filtered_endpoint_means,
     joint_posterior,
     kernel_kl_estimate,
     multi_information,
+    posterior_marginals,
     token_marginals,
 )
 from mcbridge.predictors import TrainConfig, train_predictor
@@ -169,10 +170,11 @@ def test_criterion_5_filter_identity(dirichlet3x2):
                 u = frac * u_k
                 y_k = forward_state(dirichlet3x2, u_k, rng)
                 y_block = rng.standard_normal(3)
+                prior = posterior_marginals(dirichlet3x2, u_k, y_k[None])
+                got = filtered_endpoint_means(prior, np.tile(y_block, 2)[None], y_k[None], u, u_k)[0]
                 for pos in (0, 1):
-                    got = filtered_endpoint_mean(dirichlet3x2, y_k, u_k, u, y_block, pos)
                     want = brute_filtered_mean(dirichlet3x2, y_k, u_k, u, y_block, pos)
-                    worst = max(worst, float(np.abs(got - want).max()))
+                    worst = max(worst, float(np.abs(got[pos] - want).max()))
         assert worst < 1e-10, f"max abs error {worst}"
         print(f"  max abs filter error = {worst:.3e}")
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcbridge import cli
 from mcbridge.cli import main
 from mcbridge.discrete import JointDist
 from mcbridge.predictors import TrainConfig, TrainedPredictor
@@ -139,6 +140,24 @@ class TestTrainCommand:
         assert main(["sample", "--dist", copy_dist, "--predictor", str(pred_file), "--method", "mcb",
                      "--steps", "8", "--chains", "32", "--seed", "3", "--out", str(run)]) == 0
         assert (run / "samples.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--u-min", "--horizon"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_option_exits_2(self, tmp_path, copy_dist, capsys, flag, value):
+        out = tmp_path / "train"
+        assert main(["train", "--dist", copy_dist, "--steps", "2", flag, value, "--out", str(out)]) == 2
+        assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path, copy_dist, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. TiB for an array")
+
+        monkeypatch.setattr(cli, "train_predictor", exhausted)
+        out = tmp_path / "train"
+        assert main(["train", "--dist", copy_dist, "--batch", "100000000000", "--out", str(out)]) == 2
+        assert "out of memory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_flag_bypasses_model_file(self, tmp_path, copy_dist):
         run = tmp_path / "oracle_run"

@@ -9,13 +9,13 @@ from mcbridge.discrete import (
     EnumerationLimitError,
     JointDist,
     TokenSequence,
-    decode_argmax,
     encode,
     enumerate_sequences,
     index_matrix,
     make_joint,
     onehot,
     onehot_matrix,
+    onehot_tokens,
     token_index,
 )
 
@@ -31,13 +31,14 @@ class TestEncodeDecode:
 
     def test_round_trip_exhaustive(self):
         for seq in enumerate_sequences(4, 3):
-            assert decode_argmax(encode(seq), 4) == seq
+            toks, _ = onehot_tokens(encode(seq)[None, :], 4)
+            assert TokenSequence(tuple(int(t) for t in toks[0]), 4) == seq
 
     def test_argmax_block(self):
-        assert decode_argmax(np.array([0.2, 0.5, 0.3]), 3).tokens == (1,)
+        assert tuple(onehot_tokens(np.array([[0.2, 0.5, 0.3]]), 3)[0][0]) == (1,)
 
     def test_tie_breaks_low_index(self):
-        assert decode_argmax(np.array([0.5, 0.5]), 2).tokens == (0,)
+        assert tuple(onehot_tokens(np.array([[0.5, 0.5]]), 2)[0][0]) == (0,)
 
     def test_rejects_bad_token(self):
         with pytest.raises(ValueError):
@@ -148,7 +149,7 @@ class TestJointDist:
     def test_lookup_consistency(self):
         nu = make_joint("dirichlet", 3, 2, seed=1)
         for i, seq in enumerate(enumerate_sequences(3, 2)):
-            assert nu.prob_of(seq) == nu.probs[i]
+            assert nu.probs[seq.index] == nu.probs[i]
             assert nu.sequence_at(i) == seq
 
     def test_position_marginals_copy(self, copy3x2):

@@ -146,6 +146,18 @@ class TestBridgeParams:
         np.testing.assert_allclose(bp.var, 2.0 * math.sinh(1.0) ** 2 / math.sinh(2.0), rtol=1e-14)
         np.testing.assert_allclose(bp.var, 0.7615941559557649, rtol=1e-12)
 
+    def test_hand_value_both_endpoints(self):
+        # s=0.5, t=2, x0=e1, x_t=e2: mean = [sinh(1.5)/sinh 2, sinh(0.5)/sinh 2],
+        # var = 2 sinh(0.5) sinh(1.5)/sinh 2; unequal weights tell x0 from x_t
+        e1 = np.array([1.0, 0.0])
+        e2 = np.array([0.0, 1.0])
+        bp = bridge_params(0.5, 2.0, e2, e1)
+        want = np.array([math.sinh(1.5), math.sinh(0.5)]) / math.sinh(2.0)
+        np.testing.assert_allclose(bp.mean, want, rtol=1e-14)
+        np.testing.assert_allclose(bp.mean, [0.5870861339156977, 0.14367669193066093], rtol=1e-12)
+        np.testing.assert_allclose(bp.var, 2.0 * math.sinh(0.5) * math.sinh(1.5) / math.sinh(2.0), rtol=1e-14)
+        np.testing.assert_allclose(bp.var, 0.6118556566078873, rtol=1e-12)
+
     def test_mean_coefficients_in_unit_interval_and_subadditive(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -235,6 +247,9 @@ class TestFrozenMeanDrift:
             a = frozen_mean_drift(t, y, m, horizon)
             b = bridge_drift(0.0, horizon - t, y, m)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            u = horizon - t
+            explicit = (m - y * math.cosh(u)) / math.sinh(u)
+            np.testing.assert_allclose(a, explicit, rtol=1e-12, atol=1e-12)
 
     def test_scalar_hand_value(self):
         got = frozen_mean_drift(0.0, np.array([0.0]), np.array([1.0]), 1.0)
@@ -294,6 +309,14 @@ class TestReverseStepCoeffs:
             bp = bridge_params(u_next, u_k, y, x0)
             np.testing.assert_allclose(a * x0 + b * y, bp.mean, rtol=1e-12)
             np.testing.assert_allclose(var, bp.var, rtol=1e-12)
+            # both against the sinh ratios written out here
+            sh_k = math.sinh(u_k)
+            a_ref = math.sinh(u_k - u_next) / sh_k
+            b_ref = math.sinh(u_next) / sh_k
+            var_ref = 2.0 * math.sinh(u_next) * math.sinh(u_k - u_next) / sh_k
+            np.testing.assert_allclose((a, b, var), (a_ref, b_ref, var_ref), rtol=1e-12)
+            np.testing.assert_allclose(a_ref * x0 + b_ref * y, bp.mean, rtol=1e-12)
+            np.testing.assert_allclose(var_ref, bp.var, rtol=1e-12)
 
 
 class TestNoiseGrid:

@@ -28,17 +28,16 @@ from mcbridge.oracle import (
     MarginalTable,
     discrete_kl,
     factorized_posterior,
-    filtered_endpoint_mean,
+    filtered_endpoint_means,
     joint_posterior,
     kernel_kl_estimate,
     logsumexp,
-    mcb_kernel_logdensity,
+    mcb_kernel_logdensities,
     multi_information,
     posterior_marginals,
     row_softmax,
     token_marginals,
     true_kernel_logdensities,
-    true_kernel_logdensity,
 )
 from mcbridge.predictors import OraclePredictor
 from mcbridge.seeding import derive_rng
@@ -372,14 +371,15 @@ class TestFilteredEndpointMean:
         rng = derive_rng(7, "limit")
         u_k = 1.0
         y_k = forward_state(copy3x2, u_k, rng)
-        prior = token_marginals(joint_posterior(copy3x2, u_k, y_k)).probs[0]
+        prior = token_marginals(joint_posterior(copy3x2, u_k, y_k)).probs
         u = u_k * (1.0 - 1e-8)
-        got = filtered_endpoint_mean(copy3x2, y_k, u_k, u, y_k[0:3], 0)
-        np.testing.assert_allclose(got, prior, atol=1e-6)
+        got = filtered_endpoint_means(prior[None], y_k[None], y_k[None], u, u_k)[0, 0]
+        np.testing.assert_allclose(got, prior[0], atol=1e-6)
 
     def test_point_mass_prior(self):
         m = MarginalTable(probs=np.array([[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]]))
-        got = filtered_endpoint_mean(m, np.zeros(6), 1.0, 0.5, np.array([5.0, -3.0, 2.0]), 0)
+        y_u = np.array([[5.0, -3.0, 2.0, 0.0, 0.0, 0.0]])
+        got = filtered_endpoint_means(m.probs[None], y_u, np.zeros((1, 6)), 0.5, 1.0)[0, 0]
         np.testing.assert_allclose(got, [0.0, 1.0, 0.0], atol=1e-300)
 
     def test_matches_two_time_enumeration(self, copy3x2):
@@ -389,16 +389,18 @@ class TestFilteredEndpointMean:
                 u = frac * u_k
                 y_k = forward_state(copy3x2, u_k, rng)
                 y_block = rng.standard_normal(3)
+                prior = posterior_marginals(copy3x2, u_k, y_k[None])
+                got = filtered_endpoint_means(prior, np.tile(y_block, 2)[None], y_k[None], u, u_k)[0]
                 for pos in (0, 1):
-                    got = filtered_endpoint_mean(copy3x2, y_k, u_k, u, y_block, pos)
                     want = brute_filtered_mean(copy3x2, y_k, u_k, u, y_block, pos)
-                    np.testing.assert_allclose(got, want, atol=1e-10)
+                    np.testing.assert_allclose(got[pos], want, atol=1e-10)
 
-    def test_rejects_bad_levels(self, copy3x2):
+    def test_rejects_bad_levels(self):
+        rows, states = np.full((1, 2, 3), 1.0 / 3.0), np.zeros((1, 6))
         with pytest.raises(ValueError):
-            filtered_endpoint_mean(copy3x2, np.zeros(6), 1.0, 1.0, np.zeros(3), 0)
+            filtered_endpoint_means(rows, states, states, 1.0, 1.0)
         with pytest.raises(ValueError):
-            filtered_endpoint_mean(copy3x2, np.zeros(6), 1.0, 0.0, np.zeros(3), 0)
+            filtered_endpoint_means(rows, states, states, 0.0, 1.0)
 
 
 class TestKernelDensities:
@@ -408,10 +410,15 @@ class TestKernelDensities:
         u_k, u_next = 1.0, 0.4
         z = np.array([0.1, 0.2])
         x0 = np.ones(2)
-        bp = bridge_params(u_next, u_k, y, x0)
-        want = gauss_logpdf(z, bp.mean, bp.var)
-        got = true_kernel_logdensity(nu, y, u_k, u_next, z)
+        # the bridge moments written out, independent of kernels
+        sh_k = math.sinh(u_k)
+        mean = (math.sinh(u_k - u_next) * x0 + math.sinh(u_next) * y) / sh_k
+        var = 2.0 * math.sinh(u_next) * math.sinh(u_k - u_next) / sh_k
+        want = gauss_logpdf(z, mean, var)
+        got = true_kernel_logdensities(nu, y, u_k, u_next, z)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        bp = bridge_params(u_next, u_k, y, x0)
+        np.testing.assert_allclose(gauss_logpdf(z, bp.mean, bp.var), want, rtol=1e-12)
 
     def test_integrates_to_one_by_importance_sampling(self, copy3x2):
         # E_g[K*/g] with a dominating Gaussian proposal g must be 1
@@ -435,8 +442,8 @@ class TestKernelDensities:
         y = forward_state(copy3x2, 1.0, rng)
         z = rng.standard_normal(6)
         perm = np.array([1, 0, 2, 4, 3, 5])  # swap tokens 0 and 1 in both blocks
-        d0 = true_kernel_logdensity(copy3x2, y, 1.0, 0.5, z)
-        d1 = true_kernel_logdensity(copy3x2, y[perm], 1.0, 0.5, z[perm])
+        d0 = true_kernel_logdensities(copy3x2, y, 1.0, 0.5, z)[0]
+        d1 = true_kernel_logdensities(copy3x2, y[perm], 1.0, 0.5, z[perm])[0]
         np.testing.assert_allclose(d0, d1, rtol=1e-10)
 
     def test_degenerate_terminal_step(self, copy3x2):
@@ -444,14 +451,14 @@ class TestKernelDensities:
         y = forward_state(copy3x2, 0.5, rng)
         post = joint_posterior(copy3x2, 0.5, y)
         z = encode(enumerate_sequences(3, 2)[4])
-        got = true_kernel_logdensity(copy3x2, y, 0.5, 0.0, z)
+        got = true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z)[0]
         np.testing.assert_allclose(got, math.log(post.probs[4]), rtol=1e-12)
-        assert true_kernel_logdensity(copy3x2, y, 0.5, 0.0, z + 1e-3) == -math.inf
+        assert true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
         # the factorized kernel puts the product of the token marginals on sequence 4 = (1, 1)
         marg = token_marginals(post)
-        got = mcb_kernel_logdensity(marg, y, 0.5, 0.0, z)
+        got = mcb_kernel_logdensities(marg, y, 0.5, 0.0, z)[0]
         np.testing.assert_allclose(got, math.log(marg.probs[0, 1] * marg.probs[1, 1]), rtol=1e-12)
-        assert mcb_kernel_logdensity(marg, y, 0.5, 0.0, z + 1e-3) == -math.inf
+        assert mcb_kernel_logdensities(marg, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
 
     def test_mcb_matches_true_for_single_position(self):
         nu = make_joint("dirichlet", 3, 1, seed=8)
@@ -460,8 +467,8 @@ class TestKernelDensities:
         marg = token_marginals(joint_posterior(nu, 1.0, y))
         for _ in range(20):
             z = rng.standard_normal(3)
-            a = true_kernel_logdensity(nu, y, 1.0, 0.5, z)
-            b = mcb_kernel_logdensity(marg, y, 1.0, 0.5, z)
+            a = true_kernel_logdensities(nu, y, 1.0, 0.5, z)[0]
+            b = mcb_kernel_logdensities(marg, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_mcb_matches_true_for_product_law(self, product3x2):
@@ -470,8 +477,8 @@ class TestKernelDensities:
         marg = token_marginals(joint_posterior(product3x2, 1.0, y))
         for _ in range(20):
             z = rng.standard_normal(6)
-            a = true_kernel_logdensity(product3x2, y, 1.0, 0.5, z)
-            b = mcb_kernel_logdensity(marg, y, 1.0, 0.5, z)
+            a = true_kernel_logdensities(product3x2, y, 1.0, 0.5, z)[0]
+            b = mcb_kernel_logdensities(marg, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_mcb_blocks_match_full_mixture(self, copy3x2):
@@ -489,7 +496,7 @@ class TestKernelDensities:
                 w = math.prod(marg.probs[pos, tok] for pos, tok in enumerate(seq.tokens))
                 comps.append(math.log(w) + gauss_logpdf(z, a * onehot[i] + b * y, var))
             want = np.logaddexp.reduce(comps)
-            got = mcb_kernel_logdensity(marg, y, u_k, u_next, z)
+            got = mcb_kernel_logdensities(marg, y, u_k, u_next, z)[0]
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 

@@ -13,8 +13,6 @@ from mcbridge.predictors import (
     TrainConfig,
     TrainedPredictor,
     TrainingDiverged,
-    apply_nucleus,
-    apply_temperature,
     nucleus_rows,
     oracle_predictor,
     temperature_rows,
@@ -27,7 +25,7 @@ class TestOraclePredictor:
     def test_prior_recovery(self, copy3x2):
         pred = oracle_predictor(copy3x2)
         rng = derive_rng(0, "o1")
-        rows = pred.marginals(rng.standard_normal(6), 50.0).probs
+        rows = pred.marginals_batch(rng.standard_normal((1, 6)), 50.0)[0]
         np.testing.assert_allclose(rows, copy3x2.position_marginals(), atol=1e-8)
 
     def test_sharp_at_low_noise(self, uniform3x2):
@@ -35,7 +33,7 @@ class TestOraclePredictor:
         u = 0.05
         for seq in enumerate_sequences(3, 2)[:4]:
             x = math.exp(-u) * encode(seq)
-            rows = pred.marginals(x, u).probs
+            rows = pred.marginals_batch(x[None, :], u)[0]
             onehot = encode(seq).reshape(2, 3)
             tv = 0.5 * np.abs(rows - onehot).sum(axis=1)
             assert np.all(tv < 1e-2)
@@ -45,7 +43,7 @@ class TestOraclePredictor:
         rng = derive_rng(1, "o2")
         for t in (0.3, 1.0, 4.0):
             x = forward_state(dirichlet3x2, t, rng)
-            via_pred = pred.marginals(x, t).probs
+            via_pred = pred.marginals_batch(x[None, :], t)[0]
             via_oracle = token_marginals(joint_posterior(dirichlet3x2, t, x)).probs
             np.testing.assert_array_equal(via_pred, via_oracle)
 
@@ -58,6 +56,10 @@ class TestTrainConfig:
             TrainConfig(u_min=0.0)
         with pytest.raises(ValueError):
             TrainConfig(weighting="snr")
+        for key in ("learning_rate", "u_min", "horizon"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=repr(key)):
+                    TrainConfig(**{key: value})
 
 
 class TestTrainPredictor:
@@ -154,16 +156,16 @@ class TestSerialization:
 class TestTemperature:
     def test_identity_at_one(self):
         m = MarginalTable(probs=np.array([[0.3, 0.7], [0.9, 0.1]]))
-        np.testing.assert_allclose(apply_temperature(m, 1.0).probs, m.probs, atol=1e-12)
+        np.testing.assert_allclose(temperature_rows(m.probs, 1.0), m.probs, atol=1e-12)
 
     def test_symmetric_row_fixed(self):
         m = MarginalTable(probs=np.array([[0.5, 0.5]]))
         for tau in (0.2, 0.7, 3.0):
-            np.testing.assert_allclose(apply_temperature(m, tau).probs, 0.5, atol=1e-14)
+            np.testing.assert_allclose(temperature_rows(m.probs, tau), 0.5, atol=1e-14)
 
     def test_hand_value(self):
         m = MarginalTable(probs=np.array([[0.8, 0.2]]))
-        got = apply_temperature(m, 0.5).probs[0]
+        got = temperature_rows(m.probs, 0.5)[0]
         np.testing.assert_allclose(got, [0.64 / 0.68, 0.04 / 0.68], rtol=1e-12)
 
     def test_argmax_preserved(self):
@@ -188,11 +190,11 @@ class TestTemperature:
 class TestNucleus:
     def test_identity_at_one(self):
         m = MarginalTable(probs=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]))
-        np.testing.assert_allclose(apply_nucleus(m, 1.0).probs, m.probs, atol=1e-12)
+        np.testing.assert_allclose(nucleus_rows(m.probs, 1.0), m.probs, atol=1e-12)
 
     def test_hand_value(self):
         m = MarginalTable(probs=np.array([[0.6, 0.3, 0.1]]))
-        got = apply_nucleus(m, 0.85).probs[0]
+        got = nucleus_rows(m.probs, 0.85)[0]
         np.testing.assert_allclose(got, [2.0 / 3.0, 1.0 / 3.0, 0.0], rtol=1e-12)
 
     def test_identity_at_one_keeps_tiny_tail(self):
@@ -203,7 +205,7 @@ class TestNucleus:
 
     def test_tie_break_low_index(self):
         m = MarginalTable(probs=np.array([[0.5, 0.5]]))
-        np.testing.assert_allclose(apply_nucleus(m, 0.4).probs[0], [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(nucleus_rows(m.probs, 0.4)[0], [1.0, 0.0], atol=1e-15)
 
     def test_support_subset_and_proportionality(self):
         rng = derive_rng(4, "nuc")
