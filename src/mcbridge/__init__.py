@@ -28,7 +28,6 @@ from .kernels import (
     forward_sample,
     fm_time_inverse,
     fm_time_map,
-    frozen_mean_drift,
     ou_coeffs,
     tweedie_score,
 )
@@ -59,10 +58,8 @@ from .predictors import (
     train_predictor,
 )
 from .samplers import (
-    ChainTrace,
     SamplerConfig,
     StepFailed,
-    StepRecord,
     batch_sample,
     batch_sample_traced,
     ddpm_step,

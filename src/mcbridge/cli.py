@@ -94,7 +94,12 @@ def _load_predictor(args: argparse.Namespace, nu: JointDist | None):
     path = getattr(args, "predictor", None)
     if path is None:
         raise ValueError("provide --oracle or --predictor FILE")
-    return TrainedPredictor.load(path)
+    pred = TrainedPredictor.load(path)
+    if nu is not None and (pred.vocab, pred.length) != (nu.vocab, nu.length):
+        raise ValueError(
+            f"predictor {path} has V={pred.vocab}, L={pred.length} but --dist has V={nu.vocab}, L={nu.length}"
+        )
+    return pred
 
 
 def cmd_gen_dist(args: argparse.Namespace) -> int:
@@ -199,34 +204,25 @@ def _sampler_config(opts: dict) -> SamplerConfig:
     )
 
 
+def _chain_count(opts: dict) -> int:
+    n = int(opts["chains"])
+    if n < 1:
+        raise ValueError(f"option 'chains' must be >= 1, got {n}")
+    return n
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     opts = _merged(_SAMPLE_DEFAULTS, config, args)
     nu = JointDist.load(args.dist) if args.dist else None
     pred = _load_predictor(args, nu)
     cfg = _sampler_config(opts)
+    n = _chain_count(opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = int(opts["chains"])
     if args.trace:
-        seqs, _, traces = batch_sample_traced(cfg, pred, n)
-        with (out / "trace.jsonl").open("w", encoding="utf-8") as fh:
-            for i, trace in enumerate(traces):
-                for rec in trace.records:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "chain": i,
-                                "step": rec.step,
-                                "level": rec.level,
-                                "entropy_mean": rec.entropy_mean,
-                                "endpoint": list(rec.endpoint.tokens) if rec.endpoint else None,
-                                "state": [float(v) for v in rec.state],
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+        seqs, _, steps = batch_sample_traced(cfg, pred, n)
+        _write_csv(out / "steps.csv", steps, list(steps[0]))
     else:
         seqs = batch_sample(cfg, pred, n)
     with (out / "samples.txt").open("w", encoding="utf-8") as fh:
@@ -276,10 +272,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"sweep list {key!r} must be nonempty")
     nu = JointDist.load(args.dist)
     pred = _load_predictor(args, nu)
+    n = _chain_count(opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    n = int(opts["chains"])
     tv_mean, tv_sd = tv_noise_scale(nu, n)
     for method in opts["methods"]:
         for steps in opts["steps_list"]:
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--temperature", type=float)
     p.add_argument("--nucleus-p", dest="nucleus_p", type=float)
-    p.add_argument("--trace", action="store_const", const=True, help="write per-step records")
+    p.add_argument("--trace", action="store_const", const=True, help="write per-step aggregates to steps.csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("sweep", help="sample a (method, steps, tau, p) product and score each cell")

@@ -268,8 +268,8 @@ def make_joint(
     elif kind == "dirichlet":
         if seed is None:
             raise ValueError("dirichlet joints need a seed")
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.full(n, alpha))
     else:

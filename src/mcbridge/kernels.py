@@ -122,20 +122,6 @@ def bridge_drift(s: float, t: float, x_s: np.ndarray, x_t: np.ndarray) -> np.nda
     return (np.asarray(x_t, dtype=float) - np.asarray(x_s, dtype=float) * math.cosh(d)) / stable_sinh(d)
 
 
-def frozen_mean_drift(t: float, y: np.ndarray, m_frozen: np.ndarray, horizon: float) -> np.ndarray:
-    """Reverse-time drift toward a frozen endpoint estimate.
-
-    At reverse time t the remaining forward level is u = horizon - t, and the
-    drift is ``bridge_drift(0, u, y, m_frozen)``: (m_frozen - y cosh u)/sinh u.
-    """
-    t = _check_time(t, "t")
-    horizon = _check_time(horizon, "horizon")
-    if t >= horizon:
-        raise ValueError(f"need t < horizon, got t={t}, horizon={horizon}")
-    _check_bridge_level(horizon)
-    return bridge_drift(0.0, horizon - t, y, m_frozen)
-
-
 def fm_time_map(u: float) -> tuple[float, float]:
     """Map a forward noise level u > 0 to (t_fm, scale).
 
@@ -255,14 +241,10 @@ class NoiseGrid:
         return cls(levels=tuple(levels))
 
     @classmethod
-    def geometric(cls, horizon: float, steps: int, floor: float, terminal_zero: bool = True) -> "NoiseGrid":
-        """Geometric decay from horizon to floor, optionally appending u = 0."""
+    def geometric(cls, horizon: float, steps: int, floor: float) -> "NoiseGrid":
+        """Geometric decay over steps - 1 steps from horizon to floor, then a last step to u = 0."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0.0 < floor < horizon:
             raise ValueError("need 0 < floor < horizon")
-        n = steps if terminal_zero else steps + 1
-        lv = list(np.geomspace(horizon, floor, n))
-        if terminal_zero:
-            lv.append(0.0)
-        return cls(levels=tuple(float(v) for v in lv))
+        return cls(levels=tuple(float(v) for v in np.geomspace(horizon, floor, steps)) + (0.0,))

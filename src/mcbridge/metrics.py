@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -228,22 +228,7 @@ class GapReport:
         return out
 
     def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "interval": n.interval,
-                "t": n.t,
-                "u": n.u,
-                "weight": n.weight,
-                "coeff": n.coeff,
-                "ddpm_err": n.ddpm_err,
-                "ddpm_se": n.ddpm_se,
-                "mcb_err": n.mcb_err,
-                "mcb_se": n.mcb_se,
-                "gap": n.gap,
-                "gap_se": n.gap_se,
-            }
-            for n in self.nodes
-        ]
+        return [asdict(n) for n in self.nodes]
 
     def summary(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,18 +140,7 @@ class TrainedPredictor(MarginalPredictor):
         return {
             "widths": widths,
             "weights": {k: [float(v) for v in w.reshape(-1)] for k, w in self.params.items()},
-            "config": {
-                "vocab": self.vocab,
-                "length": self.length,
-                "steps": self.config.steps,
-                "batch": self.config.batch,
-                "learning_rate": self.config.learning_rate,
-                "hidden": self.config.hidden,
-                "u_min": self.config.u_min,
-                "horizon": self.config.horizon,
-                "weighting": self.config.weighting,
-                "seed": self.config.seed,
-            },
+            "config": {"vocab": self.vocab, "length": self.length, **asdict(self.config)},
         }
 
     def save(self, path: str | Path) -> None:
@@ -209,38 +198,7 @@ def oracle_predictor(nu: JointDist) -> OraclePredictor:
     return OraclePredictor(nu)
 
 
-def _corpus_sampler(data: JointDist | np.ndarray, vocab: int, length: int):
-    """draw(rng, n) -> (one-hot states, token ids) of n training sequences.
-
-    The one-hot states of the table's rows are built once and indexed.
-    """
-    if isinstance(data, JointDist):
-        table, sample = index_matrix(vocab, length), data.sample_indices
-    else:
-        table = np.asarray(data, dtype=int)
-        if table.ndim != 2 or table.shape[1] != length:
-            raise ValueError(f"corpus must be (n, {length}) token ids, got {table.shape}")
-        if table.min() < 0 or table.max() >= vocab:
-            raise ValueError("corpus contains out-of-vocabulary ids")
-
-        def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-            return rng.integers(0, table.shape[0], size=n)
-
-    states = onehot(table, vocab)
-
-    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        picked = sample(rng, n)
-        return states[picked], table[picked]
-
-    return draw
-
-
-def train_predictor(
-    data: JointDist | np.ndarray,
-    cfg: TrainConfig,
-    vocab: int | None = None,
-    length: int | None = None,
-) -> TrainedPredictor:
+def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
     """Fit the marginal predictor with the denoising cross-entropy objective.
 
     Each step draws a batch of clean sequences, noise levels u ~ U[u_min, T],
@@ -249,18 +207,18 @@ def train_predictor(
     index when the loss goes non-finite. Per-step losses are kept on the
     returned predictor as ``loss_history``.
     """
-    if isinstance(data, JointDist):
-        vocab, length = data.vocab, data.length
-    elif vocab is None or length is None:
-        raise ValueError("corpus training needs explicit vocab and length")
-    draw = _corpus_sampler(data, vocab, length)
+    vocab, length = nu.vocab, nu.length
+    # the one-hot states of every sequence are built once and indexed
+    table = index_matrix(vocab, length)
+    onehots = onehot(table, vocab)
     pred = TrainedPredictor.initial(vocab, length, cfg)
     rng = derive_rng(cfg.seed, "train")
     lr = cfg.learning_rate
     losses = np.empty(cfg.steps)
     rows, cols = np.arange(cfg.batch)[:, None], np.arange(length)[None, :]
     for step in range(cfg.steps):
-        states, toks = draw(rng, cfg.batch)
+        picked = nu.sample_indices(rng, cfg.batch)
+        states, toks = onehots[picked], table[picked]
         u = rng.uniform(cfg.u_min, cfg.horizon, size=cfg.batch)
         c = np.exp(-u)
         sigma = np.sqrt(-np.expm1(-2.0 * u))

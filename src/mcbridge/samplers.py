@@ -18,20 +18,23 @@ The batch runner advances all chains in lockstep and each chain reads its
 own stream in a fixed order: the standard-normal start state, then, for each
 segment of _DRAW_STEPS consecutive steps, one block of endpoint uniforms
 (mcb only) and one block of Gaussian noise for the segment's steps with
-nonzero variance; sde's exact final step draws its uniforms last. A solo
-run (run_chain) is the same runner with one chain, so it reproduces its
-batch counterpart draw for draw.
+nonzero variance. A solo run (run_chain) is the same runner with one chain,
+so it reproduces its batch counterpart draw for draw.
 
 Each method is one batched step function; the steps share one signature and
 take their pre-drawn uniforms and noise, so the runner alone decides the draw
 layout and a single-chain step is a batch of one.
+
+A traced run (run_chain, batch_sample_traced) also returns one row of
+aggregates over the whole batch per step (see _step_row); it draws nothing
+more, so its tokens and states equal the untraced run's.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +61,6 @@ class SamplerConfig:
     temperature: float = 1.0
     nucleus_p: float = 1.0
     seed: int = 0
-    sde_exact_final: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -71,23 +73,6 @@ class SamplerConfig:
             raise ValueError(f"{self.method} needs a grid ending at 0, got {self.grid.terminal}")
         if self.method == "sde" and self.grid.terminal <= 0.0:
             raise ValueError("sde needs a grid ending at a positive floor level")
-
-
-@dataclass
-class StepRecord:
-    step: int
-    level: float
-    state: np.ndarray
-    entropy_mean: float
-    endpoint: TokenSequence | None = None
-
-
-@dataclass
-class ChainTrace:
-    records: list[StepRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _sample_categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -230,14 +215,32 @@ def _checked_step(k: int, step, states: np.ndarray, u_k: float, u_next: float, p
     return states, rows, tokens
 
 
+def _step_row(k: int, u_k: float, rows: np.ndarray, states: np.ndarray, tokens, prev_tokens) -> dict:
+    """Aggregates of step k over every chain and position.
+
+    switch_rate is the share of mcb endpoint tokens that differ from the
+    previous step's; it is None at step 0 and for methods that draw no
+    endpoint. state_norm and nonfinite describe the state after the step.
+    """
+    return {
+        "step": k,
+        "level": u_k,
+        "entropy_mean": float(row_entropy(rows).mean()),
+        "switch_rate": None if prev_tokens is None else float(np.mean(tokens != prev_tokens)),
+        "state_norm": float(np.linalg.norm(states, axis=1).mean()),
+        "nonfinite": int(np.count_nonzero(~np.isfinite(states))),
+    }
+
+
 def _run_lockstep(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     rngs: list[np.random.Generator],
-    with_trace: bool,
-) -> tuple[np.ndarray, np.ndarray, list[ChainTrace] | None]:
+    steps: list[dict] | None = None,
+) -> tuple[np.ndarray, list[TokenSequence]]:
     """Advance all chains together; chain i draws only from rngs[i], in the
-    order the module docstring gives."""
+    order the module docstring gives. When ``steps`` is a list, one
+    ``_step_row`` is appended to it per step."""
     n = len(rngs)
     vocab, length = pred.vocab, pred.length
     states = np.empty((n, vocab * length))
@@ -248,27 +251,14 @@ def _run_lockstep(
     step, noise_var, with_uniforms = _METHODS[cfg.method]
     pairs = cfg.grid.pairs()
     draws = _segment_draws(rngs, [noise_var(*pair) for pair in pairs], length, states.shape[1], with_uniforms)
-    traces: list[ChainTrace] | None = [ChainTrace() for _ in range(n)] if with_trace else None
     tokens = None
     for k, ((u_k, u_next), (uniforms, noise)) in enumerate(zip(pairs, draws)):
+        prev_tokens = tokens
         states, rows, tokens = _checked_step(k, step, states, u_k, u_next, pred, cfg, uniforms, noise)
-        if traces is not None:
-            ent = row_entropy(rows).mean(axis=-1)
-            for i in range(n):
-                ep = None if tokens is None else TokenSequence(tokens=tuple(int(t) for t in tokens[i]), vocab=vocab)
-                traces[i].records.append(
-                    StepRecord(step=k, level=u_k, state=states[i].copy(), entropy_mean=float(ent[i]), endpoint=ep)
-                )
-    if cfg.method == "sde" and cfg.sde_exact_final:
-        # one exact bridge step from the floor level to a one-hot endpoint at 0:
-        # an mcb step on the untransformed rows, its uniforms drawn last
-        ((uniforms, _),) = _segment_draws(rngs, [0.0], length, states.shape[1], True)
-        plain = replace(cfg, temperature=1.0, nucleus_p=1.0)
-        states, _, tokens = _checked_step(
-            cfg.grid.steps, mcb_step, states, cfg.grid.terminal, 0.0, pred, plain, uniforms, None
-        )
+        if steps is not None:
+            steps.append(_step_row(k, u_k, rows, states, tokens, prev_tokens))
     decoded = tokens if tokens is not None else np.argmax(states.reshape(n, length, vocab), axis=2)
-    return states, decoded, traces
+    return states, _token_sequences(decoded, vocab)
 
 
 def _token_sequences(decoded: np.ndarray, vocab: int) -> list[TokenSequence]:
@@ -282,21 +272,20 @@ def run_chain(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, TokenSequence, ChainTrace]:
+) -> tuple[np.ndarray, TokenSequence, list[dict]]:
     """Run one chain from a standard-normal start over the configured grid.
 
-    A solo chain is the inspection path, so its per-step records are kept.
+    Returns its final state, its decoded tokens and its per-step rows.
     """
-    final, decoded, traces = _run_lockstep(cfg, pred, [rng], with_trace=True)
-    return final[0], _token_sequences(decoded, pred.vocab)[0], traces[0]
+    steps: list[dict] = []
+    final, seqs = _run_lockstep(cfg, pred, [rng], steps)
+    return final[0], seqs[0], steps
 
 
-def _sample(cfg: SamplerConfig, pred: MarginalPredictor, n: int, with_trace: bool):
+def _chain_rngs(seed: int, n: int) -> list[np.random.Generator]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    rngs = [derive_rng(cfg.seed, "chain", i) for i in range(n)]
-    final, decoded, traces = _run_lockstep(cfg, pred, rngs, with_trace)
-    return _token_sequences(decoded, pred.vocab), final, traces
+    return [derive_rng(seed, "chain", i) for i in range(n)]
 
 
 def batch_sample(
@@ -310,7 +299,7 @@ def batch_sample(
     Output order matches chain index, and each chain's output is unchanged
     when n grows because streams are derived per index, not sequentially.
     """
-    seqs, final, _ = _sample(cfg, pred, n, with_trace=False)
+    final, seqs = _run_lockstep(cfg, pred, _chain_rngs(cfg.seed, n))
     return (seqs, final) if return_states else seqs
 
 
@@ -318,6 +307,8 @@ def batch_sample_traced(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     n: int,
-) -> tuple[list[TokenSequence], np.ndarray, list[ChainTrace]]:
-    """batch_sample with per-step records kept (identical streams)."""
-    return _sample(cfg, pred, n, with_trace=True)
+) -> tuple[list[TokenSequence], np.ndarray, list[dict]]:
+    """batch_sample's sequences and states, plus one aggregate row per step."""
+    steps: list[dict] = []
+    final, seqs = _run_lockstep(cfg, pred, _chain_rngs(cfg.seed, n), steps)
+    return seqs, final, steps

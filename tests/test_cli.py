@@ -70,6 +70,14 @@ class TestGenDist:
         nu = JointDist.load(out)
         assert abs(nu.probs.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, alpha):
+        out = tmp_path / "d.json"
+        assert main(["gen-dist", "--kind", "dirichlet", "--vocab", "3", "--length", "2",
+                     "--alpha", alpha, "--seed", "3", "--out", str(out)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cap_exceeded_fails(self, tmp_path):
         code = main(["gen-dist", "--kind", "uniform", "--vocab", "10", "--length", "5",
                      "--out", str(tmp_path / "x.json")])
@@ -85,13 +93,41 @@ class TestSample:
         assert len(lines) == 8
         assert all(len(line.split()) == 2 for line in lines)
 
-    def test_trace_jsonl(self, tmp_path, copy_dist):
-        out = tmp_path / "run"
-        assert main(["sample", "--dist", copy_dist, "--oracle", "--method", "mcb",
-                     "--steps", "3", "--chains", "2", "--seed", "1", "--trace", "--out", str(out)]) == 0
-        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().strip().split("\n")]
-        assert len(records) == 2 * 3
-        assert {"chain", "step", "level", "entropy_mean", "endpoint", "state"} <= set(records[0])
+    def test_trace_steps_csv(self, tmp_path, copy_dist):
+        args = ["sample", "--dist", copy_dist, "--oracle", "--method", "mcb",
+                "--steps", "3", "--chains", "5", "--seed", "1"]
+        for name, trace in (("plain", []), ("t1", ["--trace"]), ("t2", ["--trace"])):
+            assert main(args + trace + ["--out", str(tmp_path / name)]) == 0
+        plain, t1, t2 = tmp_path / "plain", tmp_path / "t1", tmp_path / "t2"
+        with (t1 / "steps.csv").open() as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["step", "level", "entropy_mean", "switch_rate", "state_norm", "nonfinite"]
+        assert [r["step"] for r in rows] == ["0", "1", "2"]
+        assert [r["switch_rate"] == "" for r in rows] == [True, False, False]
+        assert (t1 / "samples.txt").read_bytes() == (plain / "samples.txt").read_bytes()
+        assert (t1 / "steps.csv").read_bytes() == (t2 / "steps.csv").read_bytes()
+        assert not (t1 / "trace.jsonl").exists() and not (plain / "steps.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_predictor_shape_mismatch_exits_2(self, tmp_path, capsys, command):
+        dist = tmp_path / "nu43.json"
+        assert main(["gen-dist", "--kind", "uniform", "--vocab", "4", "--length", "3", "--out", str(dist)]) == 0
+        pred = tmp_path / "predictor.json"
+        TrainedPredictor.initial(3, 2, TrainConfig(hidden=4, steps=0)).save(pred)
+        out = tmp_path / "r"
+        code = main([command, "--dist", str(dist), "--predictor", str(pred), "--chains", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "V=3, L=2" in err and "V=4, L=3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_zero_chains_exits_2(self, tmp_path, copy_dist, capsys, command):
+        out = tmp_path / "r"
+        assert main([command, "--dist", copy_dist, "--oracle", "--chains", "0", "--out", str(out)]) == 2
+        assert "'chains'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_predictor_source(self, tmp_path, copy_dist):
         code = main(["sample", "--dist", copy_dist, "--method", "mcb", "--out", str(tmp_path / "r")])

@@ -1,6 +1,7 @@
 """Sequence-space plumbing: encoding, enumeration, joints, file format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ class TestMakeJoint:
         nu = make_joint("dirichlet", 3, 2, seed=0, alpha=1.0)
         assert abs(nu.probs.sum() - 1.0) < 1e-12
         assert np.all(nu.probs >= 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_dirichlet_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            make_joint("dirichlet", 3, 2, seed=0, alpha=alpha)
 
     def test_dirichlet_seeded(self):
         a = make_joint("dirichlet", 3, 2, seed=11)

@@ -13,7 +13,6 @@ from mcbridge.kernels import (
     fm_time_inverse,
     fm_time_map,
     forward_sample,
-    frozen_mean_drift,
     ou_coeffs,
     reverse_step_coeffs,
     stable_sinh,
@@ -76,8 +75,9 @@ class TestStableSinh:
             y = rng.standard_normal(5)
             m1 = rng.standard_normal(5)
             m2 = rng.standard_normal(5)
-            d1 = frozen_mean_drift(t, y, m1, horizon)
-            d2 = frozen_mean_drift(t, y, m2, horizon)
+            d1 = bridge_drift(0.0, u, y, m1)
+            d2 = bridge_drift(0.0, u, y, m2)
+            np.testing.assert_allclose(d1, (m1 - y * math.cosh(u)) / math.sinh(u), rtol=1e-12, atol=1e-12)
             lhs = float(((d1 - d2) ** 2).sum()) / 4.0
             rhs = denoising_weight(u) * float(((m1 - m2) ** 2).sum())
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
@@ -231,33 +231,30 @@ class TestBridgeDrift:
 
 
 class TestFrozenMeanDrift:
-    def test_root(self):
-        y = np.array([0.5, 2.0])
-        m = y * math.cosh(1.5)
-        np.testing.assert_allclose(frozen_mean_drift(0.5, y, m, 2.0), 0.0, atol=1e-14)
+    """The reverse-time drift toward a frozen endpoint estimate m, at reverse
+    time t of a path from ``horizon``: bridge_drift(0, u, y, m) with
+    u = horizon - t, which is (m - y cosh u)/sinh u."""
 
-    def test_agrees_with_bridge_drift(self):
-        # definitional identity under u = horizon - t
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            horizon = rng.uniform(1.0, 6.0)
-            t = rng.uniform(0.0, horizon * 0.99)
-            y = rng.standard_normal(4)
-            m = rng.standard_normal(4)
-            a = frozen_mean_drift(t, y, m, horizon)
-            b = bridge_drift(0.0, horizon - t, y, m)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-            u = horizon - t
-            explicit = (m - y * math.cosh(u)) / math.sinh(u)
-            np.testing.assert_allclose(a, explicit, rtol=1e-12, atol=1e-12)
+    def test_root(self):
+        horizon, t = 2.0, 0.5
+        u = horizon - t
+        y = np.array([0.5, 2.0])
+        m = y * math.cosh(u)
+        np.testing.assert_allclose(bridge_drift(0.0, u, y, m), 0.0, atol=1e-14)
+        np.testing.assert_allclose((m - y * math.cosh(u)) / math.sinh(u), 0.0, atol=1e-14)
 
     def test_scalar_hand_value(self):
-        got = frozen_mean_drift(0.0, np.array([0.0]), np.array([1.0]), 1.0)
+        horizon, t = 1.0, 0.0
+        u = horizon - t
+        y, m = np.array([0.0]), np.array([1.0])
+        got = bridge_drift(0.0, u, y, m)
+        np.testing.assert_allclose(got, (m - y * math.cosh(u)) / math.sinh(u), rtol=1e-14)
         np.testing.assert_allclose(got, [0.8509181282393216], rtol=1e-12)
 
     def test_rejects_t_at_horizon(self):
+        horizon = t = 1.0
         with pytest.raises(ValueError):
-            frozen_mean_drift(1.0, np.zeros(1), np.zeros(1), 1.0)
+            bridge_drift(0.0, horizon - t, np.zeros(1), np.zeros(1))
 
 
 class TestFmTimeMap:

@@ -105,12 +105,6 @@ class TestTrainPredictor:
                 train_predictor(nu, TrainConfig(steps=50, learning_rate=1e305, seed=0))
         assert err.value.step >= 0
 
-    def test_corpus_training(self):
-        corpus = np.array([[0, 1], [1, 0], [0, 1], [1, 0]])
-        pred = train_predictor(corpus, TrainConfig(steps=500, seed=1), vocab=2, length=2)
-        rows = pred.marginals_batch(np.zeros((1, 4)), 6.0)
-        np.testing.assert_allclose(rows.sum(axis=2), 1.0, atol=1e-12)
-
 
 class TestTrainedForward:
     @pytest.mark.parametrize("n", [1, 7, 1024])

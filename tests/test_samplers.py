@@ -9,6 +9,7 @@ from helpers import forward_state, sample_cov_se
 from mcbridge.discrete import TokenSequence, encode, make_joint, onehot
 from mcbridge.kernels import NoiseGrid, fm_time_inverse, ou_coeffs, reverse_step_coeffs
 from mcbridge.metrics import empirical_tv, tv_noise_scale
+from mcbridge.oracle import row_entropy
 from mcbridge.predictors import MarginalPredictor, OraclePredictor
 from mcbridge.samplers import (
     SamplerConfig,
@@ -271,11 +272,23 @@ class TestRunChain:
         seqs = batch_sample(cfg, pred, 50_000)
         assert empirical_tv(seqs, uniform3x2) < 0.05
 
-    def test_trace_record_count(self, copy_oracle):
+    def test_step_diagnostics(self):
+        rows = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
         cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 5), method="mcb", seed=17)
-        _, _, trace = run_chain(cfg, copy_oracle, derive_rng(17, "chain", 0))
-        assert len(trace) == 5
-        assert all(rec.endpoint is not None for rec in trace.records)
+        final, _, steps = run_chain(cfg, FixedPredictor(rows), derive_rng(17, "chain", 0))
+        assert len(steps) == 5
+        for k, ((u_k, _), row) in enumerate(zip(cfg.grid.pairs(), steps)):
+            assert list(row) == ["step", "level", "entropy_mean", "switch_rate", "state_norm", "nonfinite"]
+            assert (row["step"], row["level"], row["nonfinite"]) == (k, u_k, 0)
+            assert abs(row["entropy_mean"] - row_entropy(rows).mean()) <= 1e-15
+        # the final state is one-hot, so its norm is sqrt(L) exactly
+        assert steps[-1]["state_norm"] == math.sqrt(2) == np.linalg.norm(final)
+        # the endpoint tokens replayed from the stream: start state, then one block of uniforms
+        rng = derive_rng(17, "chain", 0)
+        rng.standard_normal(6)
+        toks = _sample_categorical_rows(np.broadcast_to(rows, (5, 2, 3)), rng.random((5, 2)))
+        expect = [None] + [float(np.mean(toks[k] != toks[k - 1])) for k in range(1, 5)]
+        assert [row["switch_rate"] for row in steps] == expect
 
     def test_step_errors_carry_the_step_index(self):
         class FlakyPredictor(MarginalPredictor):
@@ -320,8 +333,7 @@ class TestRunChain:
         assert chain_rng.random() == rng.random()
 
     def test_sde_stream_layout(self):
-        """Start state, the noise of each 8-step segment in one block, then the
-        exact final step's uniforms."""
+        """Start state, then the noise of each 8-step segment in one block."""
         rows = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
         grid = NoiseGrid.uniform(6.0, 11, terminal=0.01)
         rng = derive_rng(27, "chain", 2)
@@ -331,37 +343,27 @@ class TestRunChain:
             h = u_k - u_next
             co = ou_coeffs(u_k)
             y = y + h * (y + 2.0 * (co.c * rows.reshape(-1) - y) / co.sigma2) + math.sqrt(2.0 * h) * z
-        toks = _sample_categorical_rows(rows[None], rng.random((1, 2)))
-        for exact_final, expect in ((False, y), (True, onehot(toks, 3)[0])):
-            cfg = SamplerConfig(grid=grid, method="sde", seed=27, sde_exact_final=exact_final)
-            final, _, _ = run_chain(cfg, FixedPredictor(rows), derive_rng(27, "chain", 2))
-            np.testing.assert_allclose(final, expect, rtol=0.0, atol=1e-12)
-
-    def test_sde_exact_final_emits_onehot(self, copy3x2):
-        pred = OraclePredictor(copy3x2)
-        grid = NoiseGrid.uniform(6.0, 32, terminal=0.01)
-        cfg = SamplerConfig(grid=grid, method="sde", seed=18, sde_exact_final=True)
-        final, seq, _ = run_chain(cfg, pred, derive_rng(18, "chain", 0))
-        np.testing.assert_array_equal(final, encode(seq))
+        cfg = SamplerConfig(grid=grid, method="sde", seed=27)
+        chain_rng = derive_rng(27, "chain", 2)
+        final, _, _ = run_chain(cfg, FixedPredictor(rows), chain_rng)
+        np.testing.assert_allclose(final, y, rtol=0.0, atol=1e-12)
+        # nothing more was drawn
+        assert chain_rng.random() == rng.random()
 
 
 class TestBatchSample:
     @staticmethod
-    def _config(method: str, steps: int, seed: int, sde_exact_final: bool = False) -> SamplerConfig:
+    def _config(method: str, steps: int, seed: int) -> SamplerConfig:
         if method == "sde":
             grid = NoiseGrid.uniform(6.0, steps, terminal=0.01)
         else:
             grid = NoiseGrid.fm_uniform(6.0, steps)
-        return SamplerConfig(grid=grid, method=method, seed=seed, sde_exact_final=sde_exact_final)
+        return SamplerConfig(grid=grid, method=method, seed=seed)
 
-    @pytest.mark.parametrize(
-        "method, exact_final",
-        [("mcb", False), ("ddpm", False), ("ode", False), ("sde", False), ("sde", True)],
-        ids=["mcb", "ddpm", "ode", "sde", "sde-exact-final"],
-    )
-    def test_single_chain_matches_run_chain(self, copy_oracle, method, exact_final):
+    @pytest.mark.parametrize("method", ["mcb", "ddpm", "ode", "sde"])
+    def test_single_chain_matches_run_chain(self, copy_oracle, method):
         # K = 11 is not a multiple of the draw segment length
-        cfg = self._config(method, 11, 19, exact_final)
+        cfg = self._config(method, 11, 19)
         seqs, states = batch_sample(cfg, copy_oracle, 5, return_states=True)
         for i in range(5):
             final, seq, _ = run_chain(cfg, copy_oracle, derive_rng(19, "chain", i))
@@ -410,9 +412,9 @@ class TestBatchSample:
     def test_traced_variant_matches(self, copy_oracle):
         cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 4), method="mcb", seed=22)
         plain = batch_sample(cfg, copy_oracle, 3)
-        traced, _, traces = batch_sample_traced(cfg, copy_oracle, 3)
+        traced, _, steps = batch_sample_traced(cfg, copy_oracle, 3)
         assert plain == traced
-        assert all(len(tr) == 4 for tr in traces)
+        assert len(steps) == 4
 
 
 class TestSamplerConfig:
