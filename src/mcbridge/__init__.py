@@ -41,13 +41,10 @@ from .metrics import (
     unigram_entropy,
 )
 from .oracle import (
-    EndpointPosterior,
-    MarginalTable,
-    factorized_posterior,
-    joint_posterior,
+    joint_posterior_probs,
     kernel_kl_estimate,
     multi_information,
-    token_marginals,
+    posterior_marginals,
 )
 from .predictors import (
     MarginalPredictor,

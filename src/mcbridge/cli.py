@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, encode, json_type_matches, make_joint
+from .discrete import JointDist, json_type_matches, make_joint, onehot_matrix
 from .kernels import NoiseGrid, forward_sample
 from .metrics import (
     denoising_gap,
@@ -30,7 +30,7 @@ from .metrics import (
     unigram_entropy,
     unigram_entropy_se,
 )
-from .oracle import MarginalTable, kernel_kl_estimate
+from .oracle import kernel_kl_estimate
 from .predictors import OraclePredictor, TrainConfig, TrainedPredictor, train_predictor
 from .samplers import SamplerConfig, batch_sample, batch_sample_traced
 from .seeding import derive_rng
@@ -380,14 +380,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = int(opts["seed"])
     checks: list[dict] = []
+    onehot = onehot_matrix(nu.vocab, nu.length)
 
     # factorization identity: KL(joint || product of marginals) == multi-information
     rng = derive_rng(seed, "verify", "factorization")
     worst = 0.0
     for level in opts["levels"]:
         for _ in range(int(opts["states_per_level"])):
-            x0 = encode(nu.sequence_at(int(nu.sample_indices(rng, 1)[0])))
-            x = forward_sample(x0, float(level), rng)
+            x = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], float(level), rng)
             worst = max(worst, factorization_check(nu, float(level), x).gap)
     checks.append(
         {"check": "factorization_identity", "statistic": worst, "threshold": float(opts["identity_tol"]), "passed": worst < float(opts["identity_tol"])}
@@ -398,11 +398,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst_mean, worst_cov = 0.0, 0.0
     for _ in range(int(opts["moment_trials"])):
         rows = rng.dirichlet(np.ones(nu.vocab), size=nu.length)
-        table = MarginalTable(probs=rows)
         y = rng.standard_normal(nu.dim)
         u_k = rng.uniform(0.2, 3.0)
         u_next = u_k * rng.uniform(0.05, 0.95)
-        res = moment_check(table, y, u_k, u_next)
+        res = moment_check(rows, y, u_k, u_next)
         worst_mean = max(worst_mean, res.mean_residual)
         worst_cov = max(worst_cov, res.cov_residual)
     moment_stat = max(worst_mean, worst_cov)
@@ -416,7 +415,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst_margin = -float("inf")
     for _ in range(int(opts["bound_instances"])):
         u_k = float(opts["bound_u_k"])
-        y = forward_sample(encode(nu.sequence_at(int(nu.sample_indices(rng, 1)[0]))), u_k, rng)
+        y = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], u_k, rng)
         est = kernel_kl_estimate(nu, y, u_k, float(opts["bound_u_next"]), int(opts["bound_n_mc"]), rng)
         margin = est.estimate - est.mi - float(opts["bound_sigma"]) * est.se
         worst_margin = max(worst_margin, margin)

@@ -142,6 +142,19 @@ def product_table(rows: np.ndarray) -> np.ndarray:
     return probs
 
 
+def checked_rows(rows: np.ndarray, tol: float, name: str = "rows") -> np.ndarray:
+    """``rows`` as a 2-d float array whose rows are distributions: finite, nonnegative
+    and summing to 1 within ``tol``; a ValueError naming ``name`` otherwise."""
+    p = np.asarray(rows, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"{name} must be 2-d, got shape {p.shape}")
+    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise ValueError(f"{name} entries must be finite and nonnegative")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > tol):
+        raise ValueError(f"each row of {name} must sum to 1 within {tol}")
+    return p
+
+
 def json_type_matches(default, value) -> bool:
     """value has the JSON type of default; ints pass for floats, a None default takes anything,
     and each element of a list must match the default list's first element."""
@@ -193,11 +206,6 @@ class JointDist:
         """n iid sequence indices via inverse CDF on one uniform per draw."""
         u = rng.random(n)
         return np.minimum(np.searchsorted(self._cdf, u, side="left"), self.probs.size - 1)
-
-    def position_marginals(self) -> np.ndarray:
-        """(L, V) matrix of per-position token marginals."""
-        onehot = onehot_matrix(self.vocab, self.length)
-        return (self.probs @ onehot).reshape(self.length, self.vocab)
 
     def entropy(self) -> float:
         p = self.probs[self.probs > 0.0]
@@ -262,9 +270,7 @@ def make_joint(
         m = np.asarray(marginals, dtype=float)
         if m.shape != (length, vocab):
             raise ValueError(f"marginals must have shape ({length}, {vocab}), got {m.shape}")
-        if np.any(m < 0.0) or np.any(np.abs(m.sum(axis=1) - 1.0) > _SUM_TOL):
-            raise ValueError("each marginal row must be nonnegative and sum to 1")
-        probs = product_table(m)
+        probs = product_table(checked_rows(m, _SUM_TOL, "marginals"))
     elif kind == "dirichlet":
         if seed is None:
             raise ValueError("dirichlet joints need a seed")

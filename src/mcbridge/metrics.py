@@ -29,18 +29,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .discrete import JointDist, TokenSequence, onehot_matrix, token_index
+from .discrete import JointDist, TokenSequence, checked_rows, onehot_matrix, product_table, token_index
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
-    MarginalTable,
+    _ROW_TOL,
     discrete_kl,
-    factorized_posterior,
     filtered_endpoint_means,
-    joint_posterior,
+    joint_posterior_probs,
     multi_information,
     posterior_marginals,
     row_entropy,
-    token_marginals,
 )
 from .seeding import derive_rng
 
@@ -125,10 +123,10 @@ class FactorizationCheck(NamedTuple):
 def factorization_check(nu: JointDist, t: float, x: np.ndarray) -> FactorizationCheck:
     """Exact-identity check: KL(joint posterior || product of its marginals)
     equals the conditional multi-information, computed by two routes."""
-    joint = joint_posterior(nu, t, x)
-    marg = token_marginals(joint)
-    kl = discrete_kl(joint.probs, factorized_posterior(marg).probs)
-    mi = multi_information(joint, marg)
+    probs = joint_posterior_probs(nu, t, x)[0]
+    rows = posterior_marginals(nu, t, x)[0]
+    kl = discrete_kl(probs, product_table(rows))
+    mi = multi_information(probs, rows)
     return FactorizationCheck(kl=kl, mi=mi, gap=abs(kl - mi))
 
 
@@ -137,30 +135,33 @@ class MomentCheck(NamedTuple):
     cov_residual: float
 
 
-def moment_check(marginals: MarginalTable, y: np.ndarray, u_k: float, u_next: float) -> MomentCheck:
+def moment_check(rows: np.ndarray, y: np.ndarray, u_k: float, u_next: float) -> MomentCheck:
     """Closed-form one-step moment comparison, no sampling.
 
-    Enumerates the endpoint mixture induced by the marginal table and checks
+    Enumerates the endpoint mixture induced by the (L, V) token rows and checks
     (i) its mean equals the frozen-mean bridge mean and (ii) its covariance
     exceeds the bridge covariance by exactly
     (sinh gamma / sinh u_k)^2 * blockdiag(diag(pi_l) - pi_l pi_l^T).
     """
+    rows = checked_rows(rows, _ROW_TOL)
+    length, vocab = rows.shape
     y = np.asarray(y, dtype=float)
-    vocab, length = marginals.vocab, marginals.length
+    if y.shape != (length * vocab,):
+        raise ValueError(f"y of shape {y.shape} does not match rows of shape {rows.shape}")
     a, b, var = reverse_step_coeffs(u_next, u_k)
     onehot = onehot_matrix(vocab, length)
-    q = factorized_posterior(marginals).probs
+    q = product_table(rows)
 
     mus = a * onehot + b * y[None, :]
     mix_mean = q @ mus
-    frozen_mean = a * marginals.mean_state() + b * y
+    frozen_mean = a * rows.reshape(-1) + b * y
     mean_residual = float(np.linalg.norm(mix_mean - frozen_mean))
 
     centered = mus - mix_mean[None, :]
     surplus_enum = (q[:, None] * centered).T @ centered
     surplus_claimed = np.zeros_like(surplus_enum)
     for pos in range(length):
-        row = marginals.probs[pos]
+        row = rows[pos]
         block = np.diag(row) - np.outer(row, row)
         lo = pos * vocab
         surplus_claimed[lo : lo + vocab, lo : lo + vocab] = a * a * block

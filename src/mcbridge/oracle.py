@@ -1,11 +1,12 @@
 """Exact brute-force clean-posterior computations.
 
 Everything here enumerates the V^L sequence space, so these routines are the
-ground truth that samplers and learned predictors are checked against: joint
-and factorized endpoint posteriors, token marginals, conditional
-multi-information, the coordinate-wise endpoint filter, and exact densities
-of the one-step reverse kernels (true posterior-predictive vs. the
-marginal-factorized replacement).
+ground truth that samplers and learned predictors are checked against: the
+joint endpoint posterior and its token marginals for a batch of states, as
+plain (n, V^L) and (n, L, V) arrays (a single state is a batch of one, read
+back with ``[0]``), conditional multi-information, the coordinate-wise
+endpoint filter, and exact densities of the one-step reverse kernels (true
+posterior-predictive vs. the marginal-factorized replacement).
 
 The posterior weights nu(w) * prod_l exp((c/sigma^2) x_{l,w_l}) are built in
 one of two ways, chosen per chain. When the chain's log weights span less
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, onehot_matrix, onehot_tokens, product_table, token_index
+from .discrete import JointDist, checked_rows, index_matrix, onehot_matrix, onehot_tokens, token_index
 from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
 
 _ROW_TOL = 1e-10
@@ -34,56 +34,6 @@ _ROW_TOL = 1e-10
 
 class DegeneratePosteriorError(RuntimeError):
     """The posterior cannot be normalized: its logits overflow float64."""
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    """L x V row-stochastic matrix of token posterior marginals."""
-
-    probs: np.ndarray
-    level: float | None = None
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2:
-            raise ValueError(f"marginal table must be 2-d, got shape {p.shape}")
-        if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-            raise ValueError("marginal entries must be finite and nonnegative")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL):
-            raise ValueError("marginal rows must sum to 1")
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def length(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def vocab(self) -> int:
-        return self.probs.shape[1]
-
-    def mean_state(self) -> np.ndarray:
-        """Flatten rows into the simplex-valued endpoint mean in R^(L*V)."""
-        return self.probs.reshape(-1).copy()
-
-
-@dataclass(frozen=True)
-class EndpointPosterior:
-    """Distribution over the V^L clean sequences (joint or product form)."""
-
-    vocab: int
-    length: int
-    probs: np.ndarray
-    level: float | None = None
-    factorized: bool = False
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        n = self.vocab**self.length
-        if p.shape != (n,):
-            raise ValueError(f"posterior must have shape ({n},), got {p.shape}")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > _ROW_TOL:
-            raise ValueError("posterior entries must be nonnegative and sum to 1")
-        object.__setattr__(self, "probs", p)
 
 
 def _pairwise_sum(t: np.ndarray) -> np.ndarray:
@@ -333,35 +283,14 @@ def posterior_marginals(nu: JointDist, t: float, states: np.ndarray) -> np.ndarr
 
     The joint posterior is built one block of chains at a time and projected
     straight onto the L*V marginals, so transient memory does not grow with
-    n. Every row agrees bit for bit with ``token_marginals`` of the chain's
-    ``joint_posterior``, whatever the batch or block size.
+    n. Every row is the same bits whatever the batch or block size, so a
+    batch of one gives each chain's row.
     """
     states = np.atleast_2d(states)
     out = np.empty((len(states), nu.length, nu.vocab))
     for rows, table in _posterior_blocks(nu, t, states):
         out[rows] = _table_marginals(table, nu.length, nu.vocab)[:, :, :-1].transpose(2, 0, 1)
     return out
-
-
-def joint_posterior(nu: JointDist, t: float, x: np.ndarray) -> EndpointPosterior:
-    """Exact joint clean posterior q(. | X_t = x) as an explicit table."""
-    probs = joint_posterior_probs(nu, t, x)[0]
-    return EndpointPosterior(vocab=nu.vocab, length=nu.length, probs=probs, level=float(t))
-
-
-def token_marginals(joint: EndpointPosterior) -> MarginalTable:
-    """Per-position token marginals of a sequence-space distribution."""
-    # two columns, as in ``_posterior_blocks``, give the batched path's sums
-    table = np.stack([joint.probs, joint.probs], axis=1)
-    rows = _table_marginals(table, joint.length, joint.vocab)[:, :, 0]
-    return MarginalTable(probs=rows, level=joint.level)
-
-
-def factorized_posterior(m: MarginalTable) -> EndpointPosterior:
-    """Product-form distribution: P(w) = prod_l m[l, w_l]."""
-    return EndpointPosterior(
-        vocab=m.vocab, length=m.length, probs=product_table(m.probs), level=m.level, factorized=True
-    )
 
 
 def row_entropy(p: np.ndarray) -> np.ndarray:
@@ -380,18 +309,23 @@ def discrete_kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def multi_information(joint: EndpointPosterior, m: MarginalTable) -> float:
-    """KL between a joint sequence posterior and the product of marginals.
+def multi_information(probs: np.ndarray, rows: np.ndarray) -> float:
+    """KL between a (V^L,) joint sequence posterior and the product of its (L, V) rows.
 
-    Returns sum_w joint(w) log[joint(w) / prod_l m[l, w_l]]; +inf (flagged
+    Returns sum_w probs(w) log[probs(w) / prod_l rows[l, w_l]]; +inf (flagged
     by the caller) when the joint puts mass where the product has none.
     """
-    toks = index_matrix(joint.vocab, joint.length)
-    logm = _log_table(m.probs)
+    rows = checked_rows(rows, _ROW_TOL)
+    length, vocab = rows.shape
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (vocab**length,):
+        raise ValueError(f"joint of shape {p.shape} does not match marginal rows of shape {rows.shape}")
+    checked_rows(p[None], _ROW_TOL, "joint")
+    toks = index_matrix(vocab, length)
+    logm = _log_table(rows)
     log_prod = np.zeros(toks.shape[0])
-    for pos in range(joint.length):
+    for pos in range(length):
         log_prod += logm[pos, toks[:, pos]]
-    p = joint.probs
     mask = p > 0.0
     if np.any(np.isneginf(log_prod[mask])):
         return math.inf
@@ -462,27 +396,26 @@ def _kernel_logdensities(
     return out - 0.5 * nu.dim * math.log(2.0 * math.pi * var)
 
 
-def mcb_kernel_logdensities(
-    m: MarginalTable,
-    y: np.ndarray,
-    u_k: float,
-    u_next: float,
-    z: np.ndarray,
-) -> np.ndarray:
-    """Log-density of the marginal-factorized reverse kernel at z.
+def mcb_kernel_logdensities(rows: np.ndarray, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> np.ndarray:
+    """Log-density of the marginal-factorized reverse kernel at z, given the (L, V) token rows.
 
     The kernel factorizes over blocks, so the V^L-component mixture reduces to
     a sum over positions of V-component mixtures:
-    log K(z | y) = sum_l log sum_v m[l, v] N(z_l; a e_v + b y_l, var I_V).
+    log K(z | y) = sum_l log sum_v rows[l, v] N(z_l; a e_v + b y_l, var I_V).
     """
+    rows = checked_rows(rows, _ROW_TOL)
+    length, vocab = rows.shape
+    y = np.asarray(y, dtype=float)
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    length, vocab = m.length, m.vocab
+    for name, v in (("y", y), ("z", z)):
+        if v.shape[-1] != length * vocab:
+            raise ValueError(f"{name} of shape {v.shape} does not match rows of shape {rows.shape}")
     a, b, var = reverse_step_coeffs(u_next, u_k)
-    logm = _log_table(m.probs)
+    logm = _log_table(rows)
     if var == 0.0:
         toks, exact = onehot_tokens(z, vocab)
         return np.where(exact, logm[np.arange(length), toks].sum(axis=1), -math.inf)
-    r = (z - b * np.asarray(y, dtype=float)[None, :]).reshape(-1, length, vocab)
+    r = (z - b * y[None, :]).reshape(-1, length, vocab)
     sq = (r * r).sum(axis=2, keepdims=True) - 2.0 * a * r + a * a
     logits = logm[None, :, :] - sq / (2.0 * var)
     per_block = logsumexp(logits, axis=2) - 0.5 * vocab * math.log(2.0 * math.pi * var)
@@ -510,22 +443,20 @@ def kernel_kl_estimate(
     then the analytic bridge) and averages the log-density ratio, which is the
     forward KL certified by the multi-information bound, which is returned
     with it. The joint posterior at (u_k, y) is built once for the draws, the
-    true kernel and the bound. Non-finite ratios are excluded and counted.
+    true kernel and the bound, and its token rows once for the factorized
+    kernel and the bound. Non-finite ratios are excluded and counted.
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
     y = np.asarray(y, dtype=float)
     onehot = onehot_matrix(nu.vocab, nu.length)
-    joint = joint_posterior(nu, u_k, y)
-    post = joint.probs
-    marg = token_marginals(joint)
+    post = joint_posterior_probs(nu, u_k, y)[0]
+    rows = posterior_marginals(nu, u_k, y)[0]
     a, b, var = reverse_step_coeffs(u_next, u_k)
     cdf = np.cumsum(post)
     idx = np.minimum(np.searchsorted(cdf, rng.random(n), side="left"), post.size - 1)
     z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
-    diff = _kernel_logdensities(nu, post, y, u_k, u_next, z) - mcb_kernel_logdensities(
-        m=marg, y=y, u_k=u_k, u_next=u_next, z=z
-    )
+    diff = _kernel_logdensities(nu, post, y, u_k, u_next, z) - mcb_kernel_logdensities(rows, y, u_k, u_next, z)
     mask = np.isfinite(diff)
     flagged = int(n - mask.sum())
     if flagged:
@@ -537,5 +468,5 @@ def kernel_kl_estimate(
         estimate=float(used.mean()),
         se=float(used.std(ddof=1) / math.sqrt(used.size)),
         n_flagged=flagged,
-        mi=multi_information(joint, marg),
+        mi=multi_information(post, rows),
     )

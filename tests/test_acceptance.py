@@ -25,13 +25,11 @@ from mcbridge.metrics import (
     unigram_entropy_se,
 )
 from mcbridge.oracle import (
-    MarginalTable,
     filtered_endpoint_means,
-    joint_posterior,
+    joint_posterior_probs,
     kernel_kl_estimate,
     multi_information,
     posterior_marginals,
-    token_marginals,
 )
 from mcbridge.predictors import TrainConfig, train_predictor
 from mcbridge.samplers import (
@@ -86,8 +84,8 @@ def test_criterion_2_kernel_kl_bound(copy3x2, product3x2):
         u_k, u_next, n = 1.0, 0.5, 10_000
         for inst in range(10):
             y = forward_state(copy3x2, u_k, rng)
-            post = joint_posterior(copy3x2, u_k, y)
-            mi = multi_information(post, token_marginals(post))
+            post = joint_posterior_probs(copy3x2, u_k, y)[0]
+            mi = multi_information(post, posterior_marginals(copy3x2, u_k, y)[0])
             est = kernel_kl_estimate(copy3x2, y, u_k, u_next, n, rng)
             assert est.estimate <= mi + 3 * est.se, f"instance {inst}: {est.estimate} > {mi} + 3se"
             assert est.n_flagged == 0
@@ -107,7 +105,7 @@ def test_criterion_3_one_step_moments():
             y = rng.standard_normal(6)
             u_k = rng.uniform(0.2, 3.0)
             u_next = u_k * rng.uniform(0.05, 0.95)
-            res = moment_check(MarginalTable(probs=rows), y, u_k, u_next)
+            res = moment_check(rows, y, u_k, u_next)
             assert res.mean_residual < 1e-12
             assert res.cov_residual < 1e-12
 

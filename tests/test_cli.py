@@ -78,6 +78,13 @@ class TestGenDist:
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_product_marginals_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert main(["gen-dist", "--kind", "product", "--vocab", "2", "--length", "1",
+                     "--marginals", "[[NaN, 1.0]]", "--out", str(out)]) == 2
+        assert "marginals" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cap_exceeded_fails(self, tmp_path):
         code = main(["gen-dist", "--kind", "uniform", "--vocab", "10", "--length", "5",
                      "--out", str(tmp_path / "x.json")])

@@ -10,6 +10,7 @@ from mcbridge.discrete import (
     EnumerationLimitError,
     JointDist,
     TokenSequence,
+    checked_rows,
     encode,
     enumerate_sequences,
     index_matrix,
@@ -97,6 +98,28 @@ class TestEnumeration:
         assert toks[5].tolist() == [1, 2]
 
 
+class TestCheckedRows:
+    def test_returns_float_rows(self):
+        rows = checked_rows([[0, 1], [1, 0]], 1e-12)
+        assert rows.dtype == float
+        np.testing.assert_array_equal(rows, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match=r"table must be 2-d, got shape \(2,\)"):
+            checked_rows(np.array([0.5, 0.5]), 1e-12, "table")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_entries(self, bad):
+        with pytest.raises(ValueError, match="table entries must be finite and nonnegative"):
+            checked_rows(np.array([[bad, 1.0]]), 1e-12, "table")
+
+    def test_row_sums_within_the_callers_tolerance(self):
+        rows = np.array([[0.5, 0.5 + 1e-11]])
+        assert checked_rows(rows, 1e-10) is not None
+        with pytest.raises(ValueError, match="each row of rows must sum to 1 within 1e-12"):
+            checked_rows(rows, 1e-12)
+
+
 class TestMakeJoint:
     def test_uniform(self):
         nu = make_joint("uniform", 2, 2)
@@ -117,6 +140,11 @@ class TestMakeJoint:
     def test_product_rejects_bad_marginals(self):
         with pytest.raises(ValueError):
             make_joint("product", 2, 2, marginals=np.array([[0.7, 0.4], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_product_rejects_non_finite_marginals(self, bad):
+        with pytest.raises(ValueError, match="marginals entries must be finite"):
+            make_joint("product", 2, 2, marginals=np.array([[bad, 1.0], [0.5, 0.5]]))
 
     def test_dirichlet_normalized(self):
         nu = make_joint("dirichlet", 3, 2, seed=0, alpha=1.0)
@@ -159,7 +187,7 @@ class TestJointDist:
             assert nu.sequence_at(i) == seq
 
     def test_position_marginals_copy(self, copy3x2):
-        np.testing.assert_allclose(copy3x2.position_marginals(), 1.0 / 3.0)
+        np.testing.assert_allclose((copy3x2.probs @ onehot_matrix(3, 2)).reshape(2, 3), 1.0 / 3.0)
 
     def test_sampling_frequencies(self):
         nu = make_joint("dirichlet", 3, 2, seed=2)

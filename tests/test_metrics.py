@@ -11,7 +11,7 @@ import pytest
 from helpers import forward_state
 
 from mcbridge import metrics, oracle
-from mcbridge.discrete import TokenSequence, make_joint, onehot_matrix
+from mcbridge.discrete import TokenSequence, make_joint, onehot_matrix, product_table
 from mcbridge.kernels import NoiseGrid
 from mcbridge.metrics import (
     denoising_gap,
@@ -22,7 +22,6 @@ from mcbridge.metrics import (
     tv_noise_scale,
     unigram_entropy,
 )
-from mcbridge.oracle import MarginalTable
 from mcbridge.seeding import derive_rng
 
 
@@ -141,28 +140,26 @@ class TestFactorizationCheck:
 
 class TestMomentCheck:
     def test_point_mass_marginals(self):
-        m = MarginalTable(probs=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-        res = moment_check(m, np.zeros(6), 1.0, 0.5)
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        res = moment_check(rows, np.zeros(6), 1.0, 0.5)
         assert res.mean_residual == 0.0
         assert res.cov_residual < 1e-15
 
     def test_uniform_binary_surplus_block(self):
         # Bernoulli(1/2) covariance: a^2 * [[.25, -.25], [-.25, .25]] per block
-        from mcbridge.discrete import onehot_matrix
         from mcbridge.kernels import reverse_step_coeffs
-        from mcbridge.oracle import factorized_posterior
 
-        m = MarginalTable(probs=np.array([[0.5, 0.5]]))
+        rows = np.array([[0.5, 0.5]])
         u_k, u_next = 1.0, 0.4
         a, _, var = reverse_step_coeffs(u_next, u_k)
-        q = factorized_posterior(m).probs
+        q = product_table(rows)
         onehot = onehot_matrix(2, 1)
         mus = a * onehot
         mean = q @ mus
         centered = mus - mean
         surplus = (q[:, None] * centered).T @ centered
         np.testing.assert_allclose(surplus, a * a * np.array([[0.25, -0.25], [-0.25, 0.25]]), atol=1e-15)
-        res = moment_check(m, np.zeros(2), u_k, u_next)
+        res = moment_check(rows, np.zeros(2), u_k, u_next)
         assert max(res.mean_residual, res.cov_residual) < 1e-12
 
     def test_random_tables(self):
@@ -172,9 +169,18 @@ class TestMomentCheck:
             y = rng.standard_normal(6)
             u_k = rng.uniform(0.2, 3.0)
             u_next = u_k * rng.uniform(0.05, 0.95)
-            res = moment_check(MarginalTable(probs=rows), y, u_k, u_next)
+            res = moment_check(rows, y, u_k, u_next)
             assert res.mean_residual < 1e-12
             assert res.cov_residual < 1e-12
+
+    def test_y_of_the_wrong_length_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 2\)"):
+            moment_check(np.full((2, 2), 0.5), np.zeros(3), 1.0, 0.5)
+
+    @pytest.mark.parametrize("rows", [[0.5, 0.5], [[0.5, 0.6]], [[math.nan, 1.0]], [[-0.5, 1.5]]])
+    def test_rejects_rows_that_are_not_distributions(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            moment_check(np.array(rows), np.zeros(2), 1.0, 0.5)
 
 
 class TestDenoisingGap:

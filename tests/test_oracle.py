@@ -20,23 +20,19 @@ from helpers import (
 )
 
 from mcbridge import oracle
-from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix
+from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix, product_table
 from mcbridge.kernels import bridge_params, ou_coeffs, reverse_step_coeffs
 from mcbridge.oracle import (
     DegeneratePosteriorError,
-    EndpointPosterior,
-    MarginalTable,
     discrete_kl,
-    factorized_posterior,
     filtered_endpoint_means,
-    joint_posterior,
+    joint_posterior_probs,
     kernel_kl_estimate,
     logsumexp,
     mcb_kernel_logdensities,
     multi_information,
     posterior_marginals,
     row_softmax,
-    token_marginals,
     true_kernel_logdensities,
 )
 from mcbridge.predictors import OraclePredictor
@@ -129,15 +125,15 @@ class TestJointPosterior:
     def test_prior_recovery_at_pure_noise(self, copy3x2):
         rng = derive_rng(0, "prior")
         x = rng.standard_normal(6)
-        post = joint_posterior(copy3x2, 50.0, x)
-        np.testing.assert_allclose(post.probs, copy3x2.probs, atol=1e-8)
+        post = joint_posterior_probs(copy3x2, 50.0, x)[0]
+        np.testing.assert_allclose(post, copy3x2.probs, atol=1e-8)
 
     def test_mode_at_scaled_clean_state(self, uniform3x2):
         seq = enumerate_sequences(3, 2)[4]
         t = 0.05
         x = math.exp(-t) * encode(seq)
-        post = joint_posterior(uniform3x2, t, x)
-        assert post.probs[seq.index] > 0.99
+        post = joint_posterior_probs(uniform3x2, t, x)[0]
+        assert post[seq.index] > 0.99
 
     def test_matches_direct_density_evaluation(self):
         # normalization-constant invariance: the log-space path must agree
@@ -147,12 +143,12 @@ class TestJointPosterior:
         for t in (0.3, 1.0, 2.5):
             x = forward_state(nu, t, rng)
             np.testing.assert_allclose(
-                joint_posterior(nu, t, x).probs, brute_joint_posterior(nu, t, x), atol=1e-12
+                joint_posterior_probs(nu, t, x)[0], brute_joint_posterior(nu, t, x), atol=1e-12
             )
 
     def test_rejects_t_zero(self, uniform3x2):
         with pytest.raises(ValueError):
-            joint_posterior(uniform3x2, 0.0, np.zeros(6))
+            joint_posterior_probs(uniform3x2, 0.0, np.zeros(6))
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +168,7 @@ class TestPosteriorMarginals:
         for n in (1, block - 1, block, block + 1, 3 * block + 5):
             for t in (0.002, 0.5, 3.0):
                 x = _forward_states(cap_law, t, n, rng)
-                ref = np.stack([token_marginals(joint_posterior(cap_law, t, row)).probs for row in x])
+                ref = np.stack([posterior_marginals(cap_law, t, row[None])[0] for row in x])
                 np.testing.assert_array_equal(posterior_marginals(cap_law, t, x), ref)
 
     def test_independent_of_block_budget(self, cap_law, monkeypatch):
@@ -286,59 +282,58 @@ class TestPosteriorMarginals:
 
 
 class TestTokenMarginals:
+    # at the zero state every logit is 0, so the posterior is the law itself
+    # and its rows are the law's own token marginals
     def test_point_mass(self):
-        probs = np.zeros(9)
-        probs[5] = 1.0  # sequence (1, 2)
-        marg = token_marginals(EndpointPosterior(vocab=3, length=2, probs=probs))
-        np.testing.assert_allclose(marg.probs, [[0, 1, 0], [0, 0, 1]], atol=1e-15)
+        nu = make_joint("product", 3, 2, marginals=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert nu.probs[5] == 1.0  # sequence (1, 2)
+        rows = posterior_marginals(nu, 1.0, np.zeros(6))[0]
+        np.testing.assert_allclose(rows, [[0, 1, 0], [0, 0, 1]], atol=1e-15)
 
-    def test_uniform(self):
-        marg = token_marginals(EndpointPosterior(vocab=3, length=2, probs=np.full(9, 1 / 9)))
-        np.testing.assert_allclose(marg.probs, 1.0 / 3.0, rtol=1e-14)
+    def test_uniform(self, uniform3x2):
+        rows = posterior_marginals(uniform3x2, 1.0, np.zeros(6))[0]
+        np.testing.assert_allclose(rows, 1.0 / 3.0, rtol=1e-14)
 
     def test_copy_at_pure_noise(self, copy3x2):
-        post = joint_posterior(copy3x2, 50.0, np.zeros(6))
-        marg = token_marginals(post)
-        np.testing.assert_allclose(marg.probs, 1.0 / 3.0, atol=1e-8)
+        rows = posterior_marginals(copy3x2, 50.0, np.zeros(6))[0]
+        np.testing.assert_allclose(rows, 1.0 / 3.0, atol=1e-8)
 
     def test_row_stochastic_across_levels(self, copy3x2):
         rng = derive_rng(2, "rows")
         for t in (0.05, 0.5, 1.0, 2.0, 6.0):
             x = forward_state(copy3x2, t, rng)
-            rows = token_marginals(joint_posterior(copy3x2, t, x)).probs
+            rows = posterior_marginals(copy3x2, t, x)[0]
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
             assert np.all(rows >= 0.0)
 
 
 class TestFactorizedPosterior:
     def test_point_mass_product(self):
-        m = MarginalTable(probs=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-        fact = factorized_posterior(m)
-        assert fact.probs[5] == 1.0
+        fact = product_table(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert fact[5] == 1.0
 
     def test_half_half(self):
-        m = MarginalTable(probs=np.array([[0.5, 0.5], [0.5, 0.5]]))
-        np.testing.assert_allclose(factorized_posterior(m).probs, 0.25, rtol=1e-15)
+        np.testing.assert_allclose(product_table(np.array([[0.5, 0.5], [0.5, 0.5]])), 0.25, rtol=1e-15)
 
     def test_idempotent_on_product_laws(self, product3x2):
         rng = derive_rng(3, "idem")
         x = forward_state(product3x2, 0.8, rng)
-        post = joint_posterior(product3x2, 0.8, x)
-        fact = factorized_posterior(token_marginals(post))
-        np.testing.assert_allclose(fact.probs, post.probs, atol=1e-12)
+        post = joint_posterior_probs(product3x2, 0.8, x)[0]
+        fact = product_table(posterior_marginals(product3x2, 0.8, x)[0])
+        np.testing.assert_allclose(fact, post, atol=1e-12)
 
 
 class TestMultiInformation:
     def test_product_joint_is_zero(self, product3x2):
         rng = derive_rng(4, "mi0")
         x = forward_state(product3x2, 1.0, rng)
-        post = joint_posterior(product3x2, 1.0, x)
-        assert abs(multi_information(post, token_marginals(post))) < 1e-12
+        post = joint_posterior_probs(product3x2, 1.0, x)[0]
+        assert abs(multi_information(post, posterior_marginals(product3x2, 1.0, x)[0])) < 1e-12
 
     def test_copy_law_value(self, copy3x2):
         # the copy law as its own posterior: 2 log 3 - log 3 = log 3
-        post = EndpointPosterior(vocab=3, length=2, probs=copy3x2.probs)
-        mi = multi_information(post, token_marginals(post))
+        table = copy3x2.probs.reshape(3, 3)
+        mi = multi_information(copy3x2.probs, np.stack([table.sum(axis=1), table.sum(axis=0)]))
         np.testing.assert_allclose(mi, math.log(3.0), rtol=1e-12)
 
     def test_equals_kl_to_factorization(self):
@@ -346,23 +341,30 @@ class TestMultiInformation:
         rng = derive_rng(5, "mi-kl")
         for t in (0.3, 0.7, 2.0):
             x = forward_state(nu, t, rng)
-            post = joint_posterior(nu, t, x)
-            marg = token_marginals(post)
-            kl = discrete_kl(post.probs, factorized_posterior(marg).probs)
-            assert abs(kl - multi_information(post, marg)) < 1e-12
+            post = joint_posterior_probs(nu, t, x)[0]
+            rows = posterior_marginals(nu, t, x)[0]
+            kl = discrete_kl(post, product_table(rows))
+            assert abs(kl - multi_information(post, rows)) < 1e-12
 
     def test_nonnegative(self):
         rng = derive_rng(6, "mi-pos")
         for seed in range(10):
             nu = make_joint("dirichlet", 2, 3, seed=seed)
             x = forward_state(nu, 0.9, rng)
-            post = joint_posterior(nu, 0.9, x)
-            assert multi_information(post, token_marginals(post)) >= -1e-15
+            post = joint_posterior_probs(nu, 0.9, x)[0]
+            assert multi_information(post, posterior_marginals(nu, 0.9, x)[0]) >= -1e-15
 
     def test_divergence_flagged_as_inf(self):
-        post = EndpointPosterior(vocab=2, length=1, probs=np.array([0.5, 0.5]))
-        m = MarginalTable(probs=np.array([[1.0, 0.0]]))
-        assert multi_information(post, m) == math.inf
+        assert multi_information(np.array([0.5, 0.5]), np.array([[1.0, 0.0]])) == math.inf
+
+    def test_joint_of_the_wrong_size_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(4,\).*\(1, 2\)"):
+            multi_information(np.full(4, 0.25), np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.6], [math.nan, 1.0], [-0.5, 1.5]])
+    def test_rejects_a_joint_that_is_not_a_distribution(self, probs):
+        with pytest.raises(ValueError, match="joint"):
+            multi_information(np.array(probs), np.array([[0.5, 0.5]]))
 
 
 class TestFilteredEndpointMean:
@@ -371,15 +373,15 @@ class TestFilteredEndpointMean:
         rng = derive_rng(7, "limit")
         u_k = 1.0
         y_k = forward_state(copy3x2, u_k, rng)
-        prior = token_marginals(joint_posterior(copy3x2, u_k, y_k)).probs
+        prior = posterior_marginals(copy3x2, u_k, y_k)[0]
         u = u_k * (1.0 - 1e-8)
         got = filtered_endpoint_means(prior[None], y_k[None], y_k[None], u, u_k)[0, 0]
         np.testing.assert_allclose(got, prior[0], atol=1e-6)
 
     def test_point_mass_prior(self):
-        m = MarginalTable(probs=np.array([[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]]))
+        rows = np.array([[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]])
         y_u = np.array([[5.0, -3.0, 2.0, 0.0, 0.0, 0.0]])
-        got = filtered_endpoint_means(m.probs[None], y_u, np.zeros((1, 6)), 0.5, 1.0)[0, 0]
+        got = filtered_endpoint_means(rows[None], y_u, np.zeros((1, 6)), 0.5, 1.0)[0, 0]
         np.testing.assert_allclose(got, [0.0, 1.0, 0.0], atol=1e-300)
 
     def test_matches_two_time_enumeration(self, copy3x2):
@@ -449,36 +451,36 @@ class TestKernelDensities:
     def test_degenerate_terminal_step(self, copy3x2):
         rng = derive_rng(11, "deg")
         y = forward_state(copy3x2, 0.5, rng)
-        post = joint_posterior(copy3x2, 0.5, y)
+        post = joint_posterior_probs(copy3x2, 0.5, y)[0]
         z = encode(enumerate_sequences(3, 2)[4])
         got = true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z)[0]
-        np.testing.assert_allclose(got, math.log(post.probs[4]), rtol=1e-12)
+        np.testing.assert_allclose(got, math.log(post[4]), rtol=1e-12)
         assert true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
         # the factorized kernel puts the product of the token marginals on sequence 4 = (1, 1)
-        marg = token_marginals(post)
-        got = mcb_kernel_logdensities(marg, y, 0.5, 0.0, z)[0]
-        np.testing.assert_allclose(got, math.log(marg.probs[0, 1] * marg.probs[1, 1]), rtol=1e-12)
-        assert mcb_kernel_logdensities(marg, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
+        rows = posterior_marginals(copy3x2, 0.5, y)[0]
+        got = mcb_kernel_logdensities(rows, y, 0.5, 0.0, z)[0]
+        np.testing.assert_allclose(got, math.log(rows[0, 1] * rows[1, 1]), rtol=1e-12)
+        assert mcb_kernel_logdensities(rows, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
 
     def test_mcb_matches_true_for_single_position(self):
         nu = make_joint("dirichlet", 3, 1, seed=8)
         rng = derive_rng(12, "l1")
         y = forward_state(nu, 1.0, rng)
-        marg = token_marginals(joint_posterior(nu, 1.0, y))
+        rows = posterior_marginals(nu, 1.0, y)[0]
         for _ in range(20):
             z = rng.standard_normal(3)
             a = true_kernel_logdensities(nu, y, 1.0, 0.5, z)[0]
-            b = mcb_kernel_logdensities(marg, y, 1.0, 0.5, z)[0]
+            b = mcb_kernel_logdensities(rows, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_mcb_matches_true_for_product_law(self, product3x2):
         rng = derive_rng(13, "prod")
         y = forward_state(product3x2, 1.0, rng)
-        marg = token_marginals(joint_posterior(product3x2, 1.0, y))
+        rows = posterior_marginals(product3x2, 1.0, y)[0]
         for _ in range(20):
             z = rng.standard_normal(6)
             a = true_kernel_logdensities(product3x2, y, 1.0, 0.5, z)[0]
-            b = mcb_kernel_logdensities(marg, y, 1.0, 0.5, z)[0]
+            b = mcb_kernel_logdensities(rows, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_mcb_blocks_match_full_mixture(self, copy3x2):
@@ -486,18 +488,24 @@ class TestKernelDensities:
         rng = derive_rng(14, "mix")
         u_k, u_next = 1.2, 0.3
         y = forward_state(copy3x2, u_k, rng)
-        marg = token_marginals(joint_posterior(copy3x2, u_k, y))
+        rows = posterior_marginals(copy3x2, u_k, y)[0]
         a, b, var = reverse_step_coeffs(u_next, u_k)
         onehot = onehot_matrix(3, 2)
         for _ in range(10):
             z = rng.standard_normal(6)
             comps = []
             for i, seq in enumerate(enumerate_sequences(3, 2)):
-                w = math.prod(marg.probs[pos, tok] for pos, tok in enumerate(seq.tokens))
+                w = math.prod(rows[pos, tok] for pos, tok in enumerate(seq.tokens))
                 comps.append(math.log(w) + gauss_logpdf(z, a * onehot[i] + b * y, var))
             want = np.logaddexp.reduce(comps)
-            got = mcb_kernel_logdensities(marg, y, u_k, u_next, z)[0]
+            got = mcb_kernel_logdensities(rows, y, u_k, u_next, z)[0]
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("y_width, z_width, bad", [(5, 6, r"y of shape \(5,\)"), (6, 7, r"z of shape \(1, 7\)")])
+    def test_mcb_names_the_shapes_of_a_wrong_width_y_or_z(self, y_width, z_width, bad):
+        rows = np.full((2, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match=bad + r".*\(2, 3\)"):
+            mcb_kernel_logdensities(rows, np.zeros(y_width), 1.0, 0.5, np.zeros(z_width))
 
 
     def _cap_kernel_draws(self, nu, u_k, u_next, n, rng):
@@ -522,7 +530,7 @@ class TestKernelDensities:
             a, b, var = reverse_step_coeffs(u_next, u_k)
             r = z - b * y
             sq = (r * r).sum(axis=1, keepdims=True) - 2.0 * a * (r @ onehot.T) + a * a * 6
-            logits = np.log(joint_posterior(cap_law, u_k, y).probs) - sq / (2.0 * var)
+            logits = np.log(joint_posterior_probs(cap_law, u_k, y)[0]) - sq / (2.0 * var)
             dense = logsumexp(logits, axis=1) - 0.5 * 24 * math.log(2.0 * math.pi * var)
             got = true_kernel_logdensities(cap_law, y, u_k, u_next, z)
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
@@ -546,8 +554,8 @@ class TestKernelKlEstimate:
     def test_bounded_by_multi_information(self, copy3x2):
         rng = derive_rng(17, "klb")
         y = forward_state(copy3x2, 1.0, rng)
-        post = joint_posterior(copy3x2, 1.0, y)
-        mi = multi_information(post, token_marginals(post))
+        post = joint_posterior_probs(copy3x2, 1.0, y)[0]
+        mi = multi_information(post, posterior_marginals(copy3x2, 1.0, y)[0])
         est = kernel_kl_estimate(copy3x2, y, 1.0, 0.5, 10_000, rng)
         assert est.estimate <= mi + 3 * est.se
 
@@ -558,13 +566,13 @@ class TestKernelKlEstimate:
     def test_builds_the_posterior_once_and_returns_its_bound(self, copy3x2, monkeypatch):
         rng = derive_rng(18, "klonce")
         y = forward_state(copy3x2, 1.0, rng)
-        post = joint_posterior(copy3x2, 1.0, y)
+        post = joint_posterior_probs(copy3x2, 1.0, y)[0]
         calls = []
         build = oracle.joint_posterior_probs
         monkeypatch.setattr(oracle, "joint_posterior_probs", lambda *a: calls.append(1) or build(*a))
         est = kernel_kl_estimate(copy3x2, y, 1.0, 0.5, 2000, rng)
         assert len(calls) == 1
-        assert est.mi == multi_information(post, token_marginals(post))
+        assert est.mi == multi_information(post, posterior_marginals(copy3x2, 1.0, y)[0])
 
     def test_peak_memory_bounded_at_the_cap(self, cap_law):
         # one dense n x V^L mixture table alone would be 312 MiB
