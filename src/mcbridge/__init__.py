@@ -20,11 +20,9 @@ from .discrete import (
     make_joint,
 )
 from .kernels import (
-    BridgeParams,
     NoiseGrid,
     OuCoeffs,
     bridge_drift,
-    bridge_params,
     forward_sample,
     fm_time_inverse,
     fm_time_map,

@@ -14,12 +14,13 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .discrete import JointDist, json_type_matches, make_joint, onehot_matrix
-from .kernels import NoiseGrid, forward_sample
+from .kernels import NoiseGrid, forward_sample, reverse_step_coeffs
 from .metrics import (
     denoising_gap,
     empirical_tv,
@@ -133,29 +134,10 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    opts = _merged(
-        {
-            "steps": 20000,
-            "batch": 64,
-            "learning_rate": 0.05,
-            "hidden": 64,
-            "u_min": 0.01,
-            "horizon": 6.0,
-            "seed": 0,
-        },
-        config,
-        args,
-    )
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    opts = _merged(defaults, config, args)
     nu = JointDist.load(args.dist)
-    cfg = TrainConfig(
-        steps=int(opts["steps"]),
-        batch=int(opts["batch"]),
-        learning_rate=float(opts["learning_rate"]),
-        hidden=int(opts["hidden"]),
-        u_min=float(opts["u_min"]),
-        horizon=float(opts["horizon"]),
-        seed=int(opts["seed"]),
-    )
+    cfg = TrainConfig(**{key: type(defaults[key])(value) for key, value in opts.items()})
     pred = train_predictor(nu, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,41 +255,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     nu = JointDist.load(args.dist)
     pred = _load_predictor(args, nu)
     n = _chain_count(opts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    tv_mean, tv_sd = tv_noise_scale(nu, n)
+    # every cell's config is built, and so checked, before anything is written
+    cells = []
     for method in opts["methods"]:
         for steps in opts["steps_list"]:
             for tau in opts["temperatures"]:
                 for p in opts["nucleus_list"]:
-                    cell = dict(opts)
-                    cell.update({"method": method, "steps": steps, "temperature": tau, "nucleus_p": p})
-                    cfg = _sampler_config(cell)
-                    try:
-                        seqs = batch_sample(cfg, pred, n)
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"sweep cell failed: method={method}, steps={steps}, tau={tau}, p={p}"
-                        ) from exc
-                    nll = oracle_nll(seqs, nu)
-                    rows.append(
-                        {
-                            "method": method,
-                            "steps": int(steps),
-                            "temperature": float(tau),
-                            "nucleus_p": float(p),
-                            "chains": n,
-                            "nll": nll.nll,
-                            "nll_se": nll.se,
-                            "nll_zero_count": nll.zero_count,
-                            "entropy": unigram_entropy(seqs),
-                            "entropy_se": unigram_entropy_se(seqs),
-                            "tv": empirical_tv(seqs, nu),
-                            "tv_noise_mean": tv_mean,
-                            "tv_noise_sd": tv_sd,
-                        }
-                    )
+                    cell = dict(opts, method=method, steps=steps, temperature=tau, nucleus_p=p)
+                    cells.append((method, steps, tau, p, _sampler_config(cell)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    tv_mean, tv_sd = tv_noise_scale(nu, n)
+    for method, steps, tau, p, cfg in cells:
+        try:
+            seqs = batch_sample(cfg, pred, n)
+        except Exception as exc:
+            raise RuntimeError(f"sweep cell failed: method={method}, steps={steps}, tau={tau}, p={p}") from exc
+        nll = oracle_nll(seqs, nu)
+        rows.append(
+            {
+                "method": method,
+                "steps": int(steps),
+                "temperature": float(tau),
+                "nucleus_p": float(p),
+                "chains": n,
+                "nll": nll.nll,
+                "nll_se": nll.se,
+                "nll_zero_count": nll.zero_count,
+                "entropy": unigram_entropy(seqs),
+                "entropy_se": unigram_entropy_se(seqs),
+                "tv": empirical_tv(seqs, nu),
+                "tv_noise_mean": tv_mean,
+                "tv_noise_sd": tv_sd,
+            }
+        )
     _write_csv(out / "sweep.csv", rows, _SWEEP_FIELDS)
     _write_json(out / "sweep_summary.json", {"options": opts, "cells": rows})
     print(f"wrote {len(rows)} sweep cells -> {out / 'sweep.csv'}")
@@ -347,7 +329,8 @@ _VERIFY_COUNTS = {
 
 
 def _check_verify_options(opts: dict) -> None:
-    """Reject options under which a check would pass without testing anything.
+    """Reject options under which a check would pass without testing anything,
+    or that a later check would reject only after the earlier ones ran.
 
     A tolerance of 0 is kept: it makes its check fail, which is not vacuous.
     """
@@ -363,6 +346,15 @@ def _check_verify_options(opts: dict) -> None:
     for key in ("identity_tol", "moment_tol"):
         if not (math.isfinite(opts[key]) and opts[key] >= 0.0):
             raise ValueError(f"verify option {key!r} must be finite and >= 0, got {opts[key]!r}")
+    # the kernel and the grid own their level limits; only the keys are named here
+    try:
+        reverse_step_coeffs(float(opts["bound_u_next"]), float(opts["bound_u_k"]))
+    except ValueError as exc:
+        raise ValueError(f"verify options 'bound_u_next' and 'bound_u_k': {exc}") from exc
+    try:
+        NoiseGrid.uniform(float(opts["horizon"]), int(opts["gap_steps"]))
+    except ValueError as exc:
+        raise ValueError(f"verify option 'horizon': {exc}") from exc
 
 
 # On a product law the KL estimate, the multi-information and the SE are all
@@ -376,11 +368,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     opts = _merged(_VERIFY_DEFAULTS, config, args)
     _check_verify_options(opts)
     nu = JointDist.load(args.dist)
+    onehot = onehot_matrix(nu.vocab, nu.length)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = int(opts["seed"])
     checks: list[dict] = []
-    onehot = onehot_matrix(nu.vocab, nu.length)
 
     # factorization identity: KL(joint || product of marginals) == multi-information
     rng = derive_rng(seed, "verify", "factorization")

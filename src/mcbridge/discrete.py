@@ -21,7 +21,7 @@ _SUM_TOL = 1e-12
 
 
 class EnumerationLimitError(ValueError):
-    """V^L exceeds the configured enumeration cap."""
+    """V^L exceeds the enumeration cap ``DEFAULT_ENUM_CAP``."""
 
 
 def _space_size(vocab: int, length: int, limit: int) -> int | None:
@@ -34,12 +34,12 @@ def _space_size(vocab: int, length: int, limit: int) -> int | None:
     return n
 
 
-def _check_space(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def _check_space(vocab: int, length: int) -> int:
     if vocab < 1 or length < 1:
         raise ValueError(f"need vocab >= 1 and length >= 1, got V={vocab}, L={length}")
-    n = _space_size(vocab, length, cap)
+    n = _space_size(vocab, length, DEFAULT_ENUM_CAP)
     if n is None:
-        raise EnumerationLimitError(f"V^L for V={vocab}, L={length} exceeds the enumeration cap {cap}")
+        raise EnumerationLimitError(f"V^L for V={vocab}, L={length} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     return n
 
 
@@ -112,15 +112,15 @@ def encode(seq: TokenSequence) -> np.ndarray:
     return onehot(seq.tokens, seq.vocab)
 
 
-def enumerate_sequences(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> list[TokenSequence]:
+def enumerate_sequences(vocab: int, length: int) -> list[TokenSequence]:
     """All V^L sequences in big-endian index order."""
-    n = _check_space(vocab, length, cap)
+    n = _check_space(vocab, length)
     return [TokenSequence.from_index(i, vocab, length) for i in range(n)]
 
 
-def index_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def index_matrix(vocab: int, length: int) -> np.ndarray:
     """(V^L, L) int array of token ids, row i being the sequence at index i."""
-    n = _check_space(vocab, length, cap)
+    n = _check_space(vocab, length)
     idx = np.arange(n)
     cols = []
     for pos in range(length):
@@ -129,9 +129,9 @@ def index_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.nda
     return np.stack(cols, axis=1)
 
 
-def onehot_matrix(vocab: int, length: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def onehot_matrix(vocab: int, length: int) -> np.ndarray:
     """(V^L, L*V) matrix whose row i is encode(sequence i)."""
-    return onehot(index_matrix(vocab, length, cap), vocab)
+    return onehot(index_matrix(vocab, length), vocab)
 
 
 def product_table(rows: np.ndarray) -> np.ndarray:
@@ -199,9 +199,6 @@ class JointDist:
     def dim(self) -> int:
         return self.vocab * self.length
 
-    def sequence_at(self, index: int) -> TokenSequence:
-        return TokenSequence.from_index(index, self.vocab, self.length)
-
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n iid sequence indices via inverse CDF on one uniform per draw."""
         u = rng.random(n)
@@ -247,7 +244,6 @@ def make_joint(
     seed: int | None = None,
     alpha: float = 1.0,
     marginals: np.ndarray | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> JointDist:
     """Test-distribution factory.
 
@@ -257,7 +253,7 @@ def make_joint(
       copy      - uniform over the V constant sequences (w, w, ..., w)
       dirichlet - one draw with concentration alpha from the given seed
     """
-    n = _check_space(vocab, length, cap)
+    n = _check_space(vocab, length)
     if kind == "uniform":
         probs = np.full(n, 1.0 / n)
     elif kind == "copy":

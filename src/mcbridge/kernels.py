@@ -83,34 +83,6 @@ def tweedie_score(x: np.ndarray, t: float, m: np.ndarray) -> np.ndarray:
     return (co.c * np.asarray(m, dtype=float) - np.asarray(x, dtype=float)) / co.sigma2
 
 
-@dataclass(frozen=True)
-class BridgeParams:
-    """Gaussian moments of the pinned bridge: isotropic with scalar var."""
-
-    mean: np.ndarray
-    var: float
-
-
-def bridge_params(s: float, t: float, x_t: np.ndarray, x0: np.ndarray) -> BridgeParams:
-    """Law of X_s given X_0 = x0 and X_t = x_t, for 0 <= s <= t.
-
-    mean = [sinh(t-s)/sinh t] x0 + [sinh s/sinh t] x_t
-    var  = 2 sinh(s) sinh(t-s) / sinh(t)
-
-    These are ``reverse_step_coeffs(s, t)``; at s = t the bridge is pinned at x_t.
-    """
-    s = _check_time(s, "s")
-    t = _check_time(t, "t")
-    if t <= 0.0 or s > t:
-        raise ValueError(f"need 0 <= s <= t with t > 0, got s={s}, t={t}")
-    _check_bridge_level(t)
-    x_t = np.asarray(x_t, dtype=float)
-    if s == t:
-        return BridgeParams(mean=x_t.copy(), var=0.0)
-    a, b, var = reverse_step_coeffs(s, t)
-    return BridgeParams(mean=a * np.asarray(x0, dtype=float) + b * x_t, var=var)
-
-
 def bridge_drift(s: float, t: float, x_s: np.ndarray, x_t: np.ndarray) -> np.ndarray:
     """Drift of the bridge pinned at x_t: (x_t - x_s cosh(t-s)) / sinh(t-s)."""
     s = _check_time(s, "s")

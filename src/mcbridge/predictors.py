@@ -56,8 +56,8 @@ class OraclePredictor(MarginalPredictor):
 class TrainConfig:
     """Budget and shape of the trainable predictor.
 
-    Noise levels are drawn uniformly from [u_min, horizon] with constant
-    per-level weighting; optimization is plain SGD at a fixed learning rate.
+    Noise levels are drawn uniformly from [u_min, horizon] and every level is
+    weighted equally; optimization is plain SGD at a fixed learning rate.
     """
 
     steps: int = 20000
@@ -66,7 +66,6 @@ class TrainConfig:
     hidden: int = 64
     u_min: float = 0.01
     horizon: float = 6.0
-    weighting: str = "constant"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -79,8 +78,6 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if not 0.0 < self.u_min < self.horizon:
             raise ValueError("need 0 < u_min < horizon")
-        if self.weighting != "constant":
-            raise ValueError(f"unsupported weighting {self.weighting!r}")
 
 
 class TrainedPredictor(MarginalPredictor):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from mcbridge.discrete import JointDist, encode, enumerate_sequences
+from mcbridge.discrete import JointDist, TokenSequence, encode, enumerate_sequences
 
 
 def gauss_logpdf(x: np.ndarray, mean: np.ndarray, var: float) -> float:
@@ -25,7 +25,7 @@ def gauss_logpdf(x: np.ndarray, mean: np.ndarray, var: float) -> float:
 def forward_state(nu: JointDist, u: float, rng: np.random.Generator) -> np.ndarray:
     """One draw of X_u from the forward law (clean sequence from nu)."""
     idx = int(nu.sample_indices(rng, 1)[0])
-    x0 = encode(nu.sequence_at(idx))
+    x0 = encode(TokenSequence.from_index(idx, nu.vocab, nu.length))
     c = math.exp(-u)
     sigma = math.sqrt(-math.expm1(-2.0 * u))
     return c * x0 + sigma * rng.standard_normal(x0.size)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from mcbridge import cli
 from mcbridge.cli import main
 from mcbridge.discrete import JointDist
-from mcbridge.predictors import TrainConfig, TrainedPredictor
+from mcbridge.predictors import TrainConfig, TrainedPredictor, train_predictor
 
 QUICK_VERIFY = {
     "levels": [0.5, 2.0],
@@ -184,6 +188,20 @@ class TestTrainCommand:
                      "--steps", "8", "--chains", "32", "--seed", "3", "--out", str(run)]) == 0
         assert (run / "samples.txt").exists()
 
+    def test_predictor_file_round_trips(self, tmp_path, copy_dist):
+        cfg = _write_config(tmp_path, {"u_min": 1, "hidden": 8})
+        out = tmp_path / "train"
+        assert main(["train", "--dist", copy_dist, "--config", cfg, "--steps", "50", "--seed", "2",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "predictor.json").read_text())
+        assert list(doc["config"]) == ["vocab", "length", *(f.name for f in fields(TrainConfig))]
+        assert isinstance(doc["config"]["u_min"], float)  # an int in the config file is written as a float
+        want = train_predictor(JointDist.load(copy_dist), TrainConfig(steps=50, hidden=8, u_min=1.0, seed=2))
+        loaded = TrainedPredictor.load(out / "predictor.json")
+        assert (loaded.vocab, loaded.length, loaded.config) == (3, 2, want.config)
+        for key, value in want.params.items():
+            np.testing.assert_array_equal(loaded.params[key], value)
+
     @pytest.mark.parametrize("flag", ["--learning-rate", "--u-min", "--horizon"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_option_exits_2(self, tmp_path, copy_dist, capsys, flag, value):
@@ -257,6 +275,17 @@ class TestSweep:
             ]
             for row in reader:
                 float(row["nll"]), float(row["tv"])  # parse back
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"steps_list": [4, 0]}, {"temperatures": [1.0, -1.0]}, {"methods": ["mcb", "bogus"]}],
+        ids=["zero-steps", "negative-temperature", "unknown-method"],
+    )
+    def test_bad_cell_exits_2_before_writing(self, tmp_path, copy_dist, doc):
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestVerify:
@@ -350,14 +379,27 @@ class TestVerify:
             ({"identity_tol": math.inf}, "identity_tol"),
             ({"identity_tol": -1e-12}, "identity_tol"),
             ({"moment_tol": math.nan}, "moment_tol"),
+            ({"bound_u_next": 2.0}, "bound_u_next"),
+            ({"bound_u_next": -0.5}, "bound_u_next"),
+            ({"bound_u_k": 800.0}, "bound_u_k"),
+            ({"horizon": -1.0}, "horizon"),
         ],
     )
     def test_vacuous_option_exits_2_naming_key(self, tmp_path, copy_dist, capsys, patch, key):
-        # each of these used to pass every check without testing anything
+        # each of these used to pass every check without testing anything, or
+        # (the levels) to exit 2 only after the earlier checks had run
         cfg = _write_config(tmp_path, {**QUICK_VERIFY, **patch})
         out = tmp_path / "verify"
         assert main(["verify", "--dist", copy_dist, "--config", cfg, "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_law_beyond_enumeration_cap_exits_2_before_writing(self, tmp_path, capsys):
+        dist = tmp_path / "u2x13.json"
+        dist.write_text(json.dumps({"V": 2, "L": 13, "probs": [1.0 / 8192] * 8192}))
+        out = tmp_path / "verify"
+        assert main(["verify", "--dist", str(dist), "--out", str(out)]) == 2
+        assert "enumeration cap" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -453,8 +495,9 @@ class TestPredictorDocuments:
             (lambda d: {**d, "config": {**d["config"], "bogus": 1}}, "'bogus'"),
             (lambda d: {**d, "config": None}, "'config'"),
             (lambda d: {**d, "config": {**d["config"], "steps": "x"}}, "'steps'"),
+            (lambda d: {**d, "config": {**d["config"], "weighting": "constant"}}, "'weighting'"),
         ],
-        ids=["top-level-list", "unknown-config-key", "null-config", "string-steps"],
+        ids=["top-level-list", "unknown-config-key", "null-config", "string-steps", "weighting-key"],
     )
     def test_malformed_predictor_exits_2(self, tmp_path, capsys, mutate, named):
         doc = TrainedPredictor.initial(3, 2, TrainConfig(hidden=4, steps=0)).to_json_dict()
@@ -472,3 +515,28 @@ class TestFlagOverridesConfig:
         assert main(["gen-dist", "--config", cfg, "--vocab", "3", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["V"] == 3 and doc["L"] == 1
+
+
+# Top-level modules that `import mcbridge.cli` loads beyond `import numpy`
+# (Python 3.11). Each is paid for in every fresh process; scipy, or any other
+# new import, fails the test until it is added here on purpose.
+_CLI_IMPORTS = {
+    "__future__", "_blake2", "_csv", "_hashlib", "_json", "argparse", "copy",
+    "csv", "dataclasses", "gettext", "hashlib", "json", "mcbridge",
+}
+
+
+def test_cli_import_adds_only_listed_modules():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, numpy\n"
+        "top = lambda: {name.partition('.')[0] for name in sys.modules}\n"
+        "before = top()\n"
+        "import mcbridge.cli\n"
+        "print(*sorted(top() - before))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "mcbridge" in added
+    assert added <= _CLI_IMPORTS, sorted(added - _CLI_IMPORTS)

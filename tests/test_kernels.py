@@ -8,7 +8,6 @@ import pytest
 from mcbridge.kernels import (
     NoiseGrid,
     bridge_drift,
-    bridge_params,
     denoising_weight,
     fm_time_inverse,
     fm_time_map,
@@ -127,44 +126,45 @@ class TestTweedieScore:
 
 
 class TestBridgeParams:
+    """Law of X_s given X_0 = x0 and X_t = x_t: N(a x0 + b x_t, var I) with
+    (a, b, var) = reverse_step_coeffs(s, t)."""
+
     def test_pinned_endpoints(self):
         x0 = np.array([1.0, 0.0])
         x_t = np.array([0.3, -0.4])
-        at0 = bridge_params(0.0, 2.0, x_t, x0)
-        np.testing.assert_array_equal(at0.mean, x0)
-        assert at0.var == 0.0
-        att = bridge_params(2.0, 2.0, x_t, x0)
-        np.testing.assert_array_equal(att.mean, x_t)
-        assert att.var == 0.0
+        a, b, var = reverse_step_coeffs(0.0, 2.0)
+        np.testing.assert_array_equal(a * x0 + b * x_t, x0)
+        assert var == 0.0
 
     def test_hand_value_midpoint(self):
         # s=1, t=2, x0=0, x_t=e1: mean = sinh(1)/sinh(2) e1, var = 2 sinh^2(1)/sinh(2)
         e1 = np.array([1.0, 0.0])
-        bp = bridge_params(1.0, 2.0, e1, np.zeros(2))
-        np.testing.assert_allclose(bp.mean, (math.sinh(1.0) / math.sinh(2.0)) * e1, rtol=1e-14)
-        np.testing.assert_allclose(bp.mean[0], 0.3240271368319427, rtol=1e-12)
-        np.testing.assert_allclose(bp.var, 2.0 * math.sinh(1.0) ** 2 / math.sinh(2.0), rtol=1e-14)
-        np.testing.assert_allclose(bp.var, 0.7615941559557649, rtol=1e-12)
+        a, b, var = reverse_step_coeffs(1.0, 2.0)
+        mean = a * np.zeros(2) + b * e1
+        np.testing.assert_allclose(mean, (math.sinh(1.0) / math.sinh(2.0)) * e1, rtol=1e-14)
+        np.testing.assert_allclose(mean[0], 0.3240271368319427, rtol=1e-12)
+        np.testing.assert_allclose(var, 2.0 * math.sinh(1.0) ** 2 / math.sinh(2.0), rtol=1e-14)
+        np.testing.assert_allclose(var, 0.7615941559557649, rtol=1e-12)
 
     def test_hand_value_both_endpoints(self):
         # s=0.5, t=2, x0=e1, x_t=e2: mean = [sinh(1.5)/sinh 2, sinh(0.5)/sinh 2],
         # var = 2 sinh(0.5) sinh(1.5)/sinh 2; unequal weights tell x0 from x_t
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        bp = bridge_params(0.5, 2.0, e2, e1)
+        a, b, var = reverse_step_coeffs(0.5, 2.0)
+        mean = a * e1 + b * e2
         want = np.array([math.sinh(1.5), math.sinh(0.5)]) / math.sinh(2.0)
-        np.testing.assert_allclose(bp.mean, want, rtol=1e-14)
-        np.testing.assert_allclose(bp.mean, [0.5870861339156977, 0.14367669193066093], rtol=1e-12)
-        np.testing.assert_allclose(bp.var, 2.0 * math.sinh(0.5) * math.sinh(1.5) / math.sinh(2.0), rtol=1e-14)
-        np.testing.assert_allclose(bp.var, 0.6118556566078873, rtol=1e-12)
+        np.testing.assert_allclose(mean, want, rtol=1e-14)
+        np.testing.assert_allclose(mean, [0.5870861339156977, 0.14367669193066093], rtol=1e-12)
+        np.testing.assert_allclose(var, 2.0 * math.sinh(0.5) * math.sinh(1.5) / math.sinh(2.0), rtol=1e-14)
+        np.testing.assert_allclose(var, 0.6118556566078873, rtol=1e-12)
 
     def test_mean_coefficients_in_unit_interval_and_subadditive(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             t = rng.uniform(0.05, 8.0)
             s = rng.uniform(0.0, t)
-            a = math.sinh(t - s) / math.sinh(t)
-            b = math.sinh(s) / math.sinh(t)
+            a, b, _ = reverse_step_coeffs(s, t)
             assert -1e-12 <= a <= 1.0 + 1e-12
             assert -1e-12 <= b <= 1.0 + 1e-12
             # sinh is superadditive on [0, inf), so the coefficients sum to <= 1
@@ -183,28 +183,24 @@ class TestBridgeParams:
                 continue
             x0 = rng.standard_normal(3)
             x_t = rng.standard_normal(3)
-            direct = bridge_params(s, t, x_t, x0)
-            outer = bridge_params(r, t, x_t, x0)
-            inner_of_mean = bridge_params(s, r, outer.mean, x0)
-            np.testing.assert_allclose(inner_of_mean.mean, direct.mean, rtol=1e-10, atol=1e-12)
+            a_st, b_st, var_st = reverse_step_coeffs(s, t)
+            a_rt, b_rt, var_rt = reverse_step_coeffs(r, t)
+            a_sr, b_sr, var_sr = reverse_step_coeffs(s, r)
+            outer_mean = a_rt * x0 + b_rt * x_t
+            np.testing.assert_allclose(a_sr * x0 + b_sr * outer_mean, a_st * x0 + b_st * x_t, rtol=1e-10, atol=1e-12)
             coef = math.sinh(s) / math.sinh(r)
-            np.testing.assert_allclose(
-                inner_of_mean.var + coef**2 * outer.var, direct.var, rtol=1e-10
-            )
+            np.testing.assert_allclose(var_sr + coef**2 * var_rt, var_st, rtol=1e-10)
 
     def test_degenerate_limits(self):
-        x = np.ones(2)
-        assert bridge_params(1e-9, 1.0, x, x).var < 3e-9
-        assert bridge_params(1.0 - 1e-9, 1.0, x, x).var < 3e-9
+        assert reverse_step_coeffs(1e-9, 1.0)[2] < 3e-9
+        assert reverse_step_coeffs(1.0 - 1e-9, 1.0)[2] < 3e-9
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
-            bridge_params(1.5, 1.0, np.zeros(2), np.zeros(2))
+            reverse_step_coeffs(1.5, 1.0)
 
     def test_rejects_overflowing_level(self):
         # sinh overflows near 710; the bridge forms refuse instead of emitting nan
-        with pytest.raises(ValueError):
-            bridge_params(1.0, 800.0, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
             reverse_step_coeffs(1.0, 800.0)
 
@@ -296,6 +292,7 @@ class TestReverseStepCoeffs:
         assert reverse_step_coeffs(0.0, 1.0) == (1.0, 0.0, 0.0)
 
     def test_matches_bridge_params(self):
+        """The bridge moments against the sinh ratios written out here."""
         rng = np.random.default_rng(7)
         for _ in range(50):
             u_k = rng.uniform(0.1, 6.0)
@@ -303,17 +300,12 @@ class TestReverseStepCoeffs:
             a, b, var = reverse_step_coeffs(u_next, u_k)
             x0 = rng.standard_normal(2)
             y = rng.standard_normal(2)
-            bp = bridge_params(u_next, u_k, y, x0)
-            np.testing.assert_allclose(a * x0 + b * y, bp.mean, rtol=1e-12)
-            np.testing.assert_allclose(var, bp.var, rtol=1e-12)
-            # both against the sinh ratios written out here
             sh_k = math.sinh(u_k)
             a_ref = math.sinh(u_k - u_next) / sh_k
             b_ref = math.sinh(u_next) / sh_k
             var_ref = 2.0 * math.sinh(u_next) * math.sinh(u_k - u_next) / sh_k
             np.testing.assert_allclose((a, b, var), (a_ref, b_ref, var_ref), rtol=1e-12)
-            np.testing.assert_allclose(a_ref * x0 + b_ref * y, bp.mean, rtol=1e-12)
-            np.testing.assert_allclose(var_ref, bp.var, rtol=1e-12)
+            np.testing.assert_allclose(a * x0 + b * y, a_ref * x0 + b_ref * y, rtol=1e-12)
 
 
 class TestNoiseGrid:

@@ -1,12 +1,8 @@
 """Brute-force posterior machinery against independent dumb oracles."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +17,7 @@ from helpers import (
 
 from mcbridge import oracle
 from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix, product_table
-from mcbridge.kernels import bridge_params, ou_coeffs, reverse_step_coeffs
+from mcbridge.kernels import ou_coeffs, reverse_step_coeffs
 from mcbridge.oracle import (
     DegeneratePosteriorError,
     discrete_kl,
@@ -111,14 +107,6 @@ class TestLogsumexp:
             np.testing.assert_array_equal(logsumexp(a, axis=-1), rowwise_logsumexp(a, axis=-1))
             np.testing.assert_array_equal(row_softmax(a), rowwise_softmax(a))
         assert logsumexp(a, axis=-1)[0, 0] == -np.inf
-
-    def test_package_import_leaves_scipy_unloaded(self):
-        import mcbridge
-
-        src = str(Path(mcbridge.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, mcbridge; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestJointPosterior:
@@ -419,8 +407,8 @@ class TestKernelDensities:
         want = gauss_logpdf(z, mean, var)
         got = true_kernel_logdensities(nu, y, u_k, u_next, z)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        bp = bridge_params(u_next, u_k, y, x0)
-        np.testing.assert_allclose(gauss_logpdf(z, bp.mean, bp.var), want, rtol=1e-12)
+        a, b, step_var = reverse_step_coeffs(u_next, u_k)
+        np.testing.assert_allclose(gauss_logpdf(z, a * x0 + b * y, step_var), want, rtol=1e-12)
 
     def test_integrates_to_one_by_importance_sampling(self, copy3x2):
         # E_g[K*/g] with a dominating Gaussian proposal g must be 1

@@ -54,8 +54,6 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(u_min=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(weighting="snr")
         for key in ("learning_rate", "u_min", "horizon"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=repr(key)):
