@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, json_type_matches, make_joint, onehot_matrix
+from .discrete import JointDist, checked_keys, make_joint, onehot_matrix
 from .kernels import NoiseGrid, forward_sample, reverse_step_coeffs
 from .metrics import (
     denoising_gap,
@@ -37,30 +36,14 @@ from .samplers import SamplerConfig, batch_sample, batch_sample_traced
 from .seeding import derive_rng
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
+def _merged(defaults: dict, args: argparse.Namespace) -> dict:
+    """defaults <- --config file values <- explicitly passed flags, each checked and
+    converted to its default's type by ``checked_keys``."""
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    return doc
-
-
-def _merged(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
-    """defaults <- config-file values <- explicitly passed flags."""
-    for key in config:
-        if key not in defaults:
-            raise ValueError(f"unknown config key {key!r}; this command takes {sorted(defaults)}")
-    out = dict(defaults)
-    for key in defaults:
-        if key in config:
-            if not json_type_matches(defaults[key], config[key]):
-                raise ValueError(f"config key {key!r} must have the JSON type of its default {defaults[key]!r}")
-            out[key] = config[key]
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            out[key] = flag
-    return out
+    flags = {key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None}
+    return {**defaults, **checked_keys(defaults, {**config, **flags}, "option")}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -76,15 +59,15 @@ def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def _build_grid(kind: str, horizon: float, steps: int, sde_floor: float, method: str) -> NoiseGrid:
+    if kind not in ("fm", "uniform", "geometric"):
+        raise ValueError(f"unknown grid kind {kind!r}; expected one of ('fm', 'uniform', 'geometric')")
     if method == "sde":
         return NoiseGrid.uniform(horizon, steps, terminal=sde_floor)
     if kind == "fm":
         return NoiseGrid.fm_uniform(horizon, steps)
     if kind == "uniform":
         return NoiseGrid.uniform(horizon, steps)
-    if kind == "geometric":
-        return NoiseGrid.geometric(horizon, steps, floor=max(sde_floor, 1e-3))
-    raise ValueError(f"unknown grid kind {kind!r}")
+    return NoiseGrid.geometric(horizon, steps, floor=max(sde_floor, 1e-3))
 
 
 def _load_predictor(args: argparse.Namespace, nu: JointDist | None):
@@ -103,26 +86,19 @@ def _load_predictor(args: argparse.Namespace, nu: JointDist | None):
     return pred
 
 
+_GEN_DIST_DEFAULTS = {"kind": "uniform", "vocab": 3, "length": 2, "alpha": 1.0, "marginals": None, "seed": 0}
+
+
 def cmd_gen_dist(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    opts = _merged(
-        {"kind": "uniform", "vocab": 3, "length": 2, "alpha": 1.0, "marginals": None, "seed": 0},
-        config,
-        args,
-    )
+    opts = _merged(_GEN_DIST_DEFAULTS, args)
     marginals = opts["marginals"]
     if marginals is not None:
         try:
             marginals = np.asarray(json.loads(marginals) if isinstance(marginals, str) else marginals, dtype=float)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"'marginals' must be an (L, V) array of numbers: {exc}") from exc
     nu = make_joint(
-        opts["kind"],
-        int(opts["vocab"]),
-        int(opts["length"]),
-        seed=int(opts["seed"]),
-        alpha=float(opts["alpha"]),
-        marginals=marginals,
+        opts["kind"], opts["vocab"], opts["length"], seed=opts["seed"], alpha=opts["alpha"], marginals=marginals
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -132,13 +108,13 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
     return 0
 
 
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    defaults = {f.name: f.default for f in fields(TrainConfig)}
-    opts = _merged(defaults, config, args)
+    opts = _merged(_TRAIN_DEFAULTS, args)
     nu = JointDist.load(args.dist)
-    cfg = TrainConfig(**{key: type(defaults[key])(value) for key, value in opts.items()})
-    pred = train_predictor(nu, cfg)
+    pred = train_predictor(nu, TrainConfig(**opts))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pred.save(out / "predictor.json")
@@ -174,28 +150,20 @@ _SAMPLE_DEFAULTS = {
 
 
 def _sampler_config(opts: dict) -> SamplerConfig:
-    grid = _build_grid(
-        str(opts["grid"]), float(opts["horizon"]), int(opts["steps"]), float(opts["sde_floor"]), str(opts["method"])
-    )
-    return SamplerConfig(
-        grid=grid,
-        method=str(opts["method"]),
-        temperature=float(opts["temperature"]),
-        nucleus_p=float(opts["nucleus_p"]),
-        seed=int(opts["seed"]),
-    )
+    grid = _build_grid(opts["grid"], opts["horizon"], opts["steps"], opts["sde_floor"], opts["method"])
+    tau, p = opts["temperature"], opts["nucleus_p"]
+    return SamplerConfig(grid=grid, method=opts["method"], temperature=tau, nucleus_p=p, seed=opts["seed"])
 
 
 def _chain_count(opts: dict) -> int:
-    n = int(opts["chains"])
+    n = opts["chains"]
     if n < 1:
         raise ValueError(f"option 'chains' must be >= 1, got {n}")
     return n
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    opts = _merged(_SAMPLE_DEFAULTS, config, args)
+    opts = _merged(_SAMPLE_DEFAULTS, args)
     nu = JointDist.load(args.dist) if args.dist else None
     pred = _load_predictor(args, nu)
     cfg = _sampler_config(opts)
@@ -232,23 +200,21 @@ _SWEEP_FIELDS = [
 ]
 
 
+_SWEEP_DEFAULTS = {
+    "methods": ["mcb"],
+    "steps_list": [4, 16, 64],
+    "temperatures": [1.0],
+    "nucleus_list": [1.0],
+    "grid": "fm",
+    "horizon": 6.0,
+    "sde_floor": 0.01,
+    "chains": 4096,
+    "seed": 0,
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    opts = _merged(
-        {
-            "methods": ["mcb"],
-            "steps_list": [4, 16, 64],
-            "temperatures": [1.0],
-            "nucleus_list": [1.0],
-            "grid": "fm",
-            "horizon": 6.0,
-            "sde_floor": 0.01,
-            "chains": 4096,
-            "seed": 0,
-        },
-        config,
-        args,
-    )
+    opts = _merged(_SWEEP_DEFAULTS, args)
     for key in ("methods", "steps_list", "temperatures", "nucleus_list"):
         if not opts[key]:
             raise ValueError(f"sweep list {key!r} must be nonempty")
@@ -276,9 +242,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "method": method,
-                "steps": int(steps),
-                "temperature": float(tau),
-                "nucleus_p": float(p),
+                "steps": steps,
+                "temperature": tau,
+                "nucleus_p": p,
                 "chains": n,
                 "nll": nll.nll,
                 "nll_se": nll.se,
@@ -332,7 +298,8 @@ def _check_verify_options(opts: dict) -> None:
     """Reject options under which a check would pass without testing anything,
     or that a later check would reject only after the earlier ones ran.
 
-    A tolerance of 0 is kept: it makes its check fail, which is not vacuous.
+    ``_merged`` has already rejected every non-finite float. A tolerance of 0 is
+    kept: it makes its check fail, which is not vacuous.
     """
     for key, least in _VERIFY_COUNTS.items():
         if opts[key] < least:
@@ -341,18 +308,18 @@ def _check_verify_options(opts: dict) -> None:
         raise ValueError("verify option 'levels' must be nonempty")
     positive = {"levels": opts["levels"], "bound_sigma": [opts["bound_sigma"]], "gap_sigma": [opts["gap_sigma"]]}
     for key, values in positive.items():
-        if not all(math.isfinite(v) and v > 0.0 for v in values):
-            raise ValueError(f"verify option {key!r} must be finite and > 0, got {opts[key]!r}")
+        if not all(v > 0.0 for v in values):
+            raise ValueError(f"verify option {key!r} must be > 0, got {opts[key]!r}")
     for key in ("identity_tol", "moment_tol"):
-        if not (math.isfinite(opts[key]) and opts[key] >= 0.0):
-            raise ValueError(f"verify option {key!r} must be finite and >= 0, got {opts[key]!r}")
+        if not opts[key] >= 0.0:
+            raise ValueError(f"verify option {key!r} must be >= 0, got {opts[key]!r}")
     # the kernel and the grid own their level limits; only the keys are named here
     try:
-        reverse_step_coeffs(float(opts["bound_u_next"]), float(opts["bound_u_k"]))
+        reverse_step_coeffs(opts["bound_u_next"], opts["bound_u_k"])
     except ValueError as exc:
         raise ValueError(f"verify options 'bound_u_next' and 'bound_u_k': {exc}") from exc
     try:
-        NoiseGrid.uniform(float(opts["horizon"]), int(opts["gap_steps"]))
+        NoiseGrid.uniform(opts["horizon"], opts["gap_steps"])
     except ValueError as exc:
         raise ValueError(f"verify option 'horizon': {exc}") from exc
 
@@ -364,31 +331,29 @@ _BOUND_SLACK = 1e-12
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    opts = _merged(_VERIFY_DEFAULTS, config, args)
+    opts = _merged(_VERIFY_DEFAULTS, args)
     _check_verify_options(opts)
     nu = JointDist.load(args.dist)
     onehot = onehot_matrix(nu.vocab, nu.length)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(opts["seed"])
+    seed = opts["seed"]
     checks: list[dict] = []
 
     # factorization identity: KL(joint || product of marginals) == multi-information
     rng = derive_rng(seed, "verify", "factorization")
     worst = 0.0
     for level in opts["levels"]:
-        for _ in range(int(opts["states_per_level"])):
-            x = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], float(level), rng)
-            worst = max(worst, factorization_check(nu, float(level), x).gap)
-    checks.append(
-        {"check": "factorization_identity", "statistic": worst, "threshold": float(opts["identity_tol"]), "passed": worst < float(opts["identity_tol"])}
-    )
+        for _ in range(opts["states_per_level"]):
+            x = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], level, rng)
+            worst = max(worst, factorization_check(nu, level, x).gap)
+    tol = opts["identity_tol"]
+    checks.append({"check": "factorization_identity", "statistic": worst, "threshold": tol, "passed": worst < tol})
 
     # one-step moment identities (closed form, no sampling)
     rng = derive_rng(seed, "verify", "moments")
     worst_mean, worst_cov = 0.0, 0.0
-    for _ in range(int(opts["moment_trials"])):
+    for _ in range(opts["moment_trials"]):
         rows = rng.dirichlet(np.ones(nu.vocab), size=nu.length)
         y = rng.standard_normal(nu.dim)
         u_k = rng.uniform(0.2, 3.0)
@@ -396,20 +361,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         res = moment_check(rows, y, u_k, u_next)
         worst_mean = max(worst_mean, res.mean_residual)
         worst_cov = max(worst_cov, res.cov_residual)
-    moment_stat = max(worst_mean, worst_cov)
-    checks.append(
-        {"check": "one_step_moments", "statistic": moment_stat, "threshold": float(opts["moment_tol"]), "passed": moment_stat < float(opts["moment_tol"])}
-    )
+    stat = max(worst_mean, worst_cov)
+    tol = opts["moment_tol"]
+    checks.append({"check": "one_step_moments", "statistic": stat, "threshold": tol, "passed": stat < tol})
 
     # kernel KL bound: MC estimate <= multi-information + sigma * SE
     rng = derive_rng(seed, "verify", "kernel-bound")
     bound_ok = True
     worst_margin = -float("inf")
-    for _ in range(int(opts["bound_instances"])):
-        u_k = float(opts["bound_u_k"])
+    for _ in range(opts["bound_instances"]):
+        u_k = opts["bound_u_k"]
         y = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], u_k, rng)
-        est = kernel_kl_estimate(nu, y, u_k, float(opts["bound_u_next"]), int(opts["bound_n_mc"]), rng)
-        margin = est.estimate - est.mi - float(opts["bound_sigma"]) * est.se
+        est = kernel_kl_estimate(nu, y, u_k, opts["bound_u_next"], opts["bound_n_mc"], rng)
+        margin = est.estimate - est.mi - opts["bound_sigma"] * est.se
         worst_margin = max(worst_margin, margin)
         bound_ok = bound_ok and margin <= _BOUND_SLACK
     checks.append(
@@ -418,9 +382,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # denoising gap: nonnegative per interval, strictness recorded
     rng = derive_rng(seed, "verify", "gap")
-    grid = NoiseGrid.uniform(float(opts["horizon"]), int(opts["gap_steps"]))
-    report = denoising_gap(nu, grid, int(opts["gap_nodes"]), int(opts["gap_n_mc"]), rng)
-    sigma = float(opts["gap_sigma"])
+    grid = NoiseGrid.uniform(opts["horizon"], opts["gap_steps"])
+    report = denoising_gap(nu, grid, opts["gap_nodes"], opts["gap_n_mc"], rng)
+    sigma = opts["gap_sigma"]
     interval_ok = all(g >= -sigma * s for _, g, s in report.interval_gaps())
     total_ok = report.total_gap >= -sigma * report.total_gap_se
     checks.append(
@@ -453,62 +417,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's value flags come from its defaults table: every key whose
+    default is not a list becomes ``--key-with-dashes``, parsed as its default's type."""
     parser = argparse.ArgumentParser(prog="mcbridge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+    def add(name: str, func, about: str, defaults: dict) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="64-bit root seed")
-        p.add_argument("--out", required=out_required, help="output path")
+        p.add_argument("--out", required=True, help="output path")
+        for key, default in defaults.items():
+            if not isinstance(default, list):
+                kind = None if default is None else type(default)
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=f"default {default!r}")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-dist", help="write a validated distribution file")
-    add_common(p)
-    p.add_argument("--kind", choices=["uniform", "product", "copy", "dirichlet"])
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--marginals", help="JSON (L, V) row-stochastic matrix for kind=product")
-    p.set_defaults(func=cmd_gen_dist)
-
-    p = sub.add_parser("train", help="fit the marginal predictor on a distribution")
-    add_common(p)
+    add("gen-dist", cmd_gen_dist, "write a validated distribution file", _GEN_DIST_DEFAULTS)
+    p = add("train", cmd_train, "fit the marginal predictor on a distribution", _TRAIN_DEFAULTS)
     p.add_argument("--dist", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--u-min", dest="u_min", type=float)
-    p.add_argument("--horizon", type=float)
-    p.set_defaults(func=cmd_train)
-
-    def add_sampling(p: argparse.ArgumentParser) -> None:
+    sample = add("sample", cmd_sample, "run chains and write decoded sequences", _SAMPLE_DEFAULTS)
+    sample.add_argument("--trace", action="store_const", const=True, help="write per-step aggregates to steps.csv")
+    sweep = add("sweep", cmd_sweep, "sample a (method, steps, tau, p) product and score each cell", _SWEEP_DEFAULTS)
+    for p in (sample, sweep):
         p.add_argument("--dist")
         p.add_argument("--oracle", action="store_const", const=True, help="use the exact predictor")
         p.add_argument("--predictor", help="trained predictor file")
-        p.add_argument("--grid", choices=["fm", "uniform", "geometric"])
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--sde-floor", dest="sde_floor", type=float)
-        p.add_argument("--chains", type=int)
-
-    p = sub.add_parser("sample", help="run chains and write decoded sequences")
-    add_common(p)
-    add_sampling(p)
-    p.add_argument("--method", choices=["mcb", "ddpm", "ode", "sde"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--nucleus-p", dest="nucleus_p", type=float)
-    p.add_argument("--trace", action="store_const", const=True, help="write per-step aggregates to steps.csv")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("sweep", help="sample a (method, steps, tau, p) product and score each cell")
-    add_common(p)
-    add_sampling(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the numerical verification suite")
-    add_common(p)
+    # verify's other options are read from --config only
+    p = add("verify", cmd_verify, "run the numerical verification suite", {"seed": _VERIFY_DEFAULTS["seed"]})
     p.add_argument("--dist", required=True)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

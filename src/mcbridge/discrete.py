@@ -10,6 +10,7 @@ index(w) = sum_l w_l * V^(L-1-l).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,18 +156,47 @@ def checked_rows(rows: np.ndarray, tol: float, name: str = "rows") -> np.ndarray
     return p
 
 
-def json_type_matches(default, value) -> bool:
-    """value has the JSON type of default; ints pass for floats, a None default takes anything,
-    and each element of a list must match the default list's first element."""
+def _converted(default, value):
+    """``value`` in the type of ``default``. An int passes for a float and becomes one,
+    each element of a list is converted by the default list's first element, and a
+    None default takes anything. TypeError when ``value`` lacks the JSON type of
+    ``default``; ValueError or OverflowError when a float is not finite."""
     if default is None:
-        return True
-    if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if not isinstance(value, (int, float) if isinstance(default, float) else type(default)):
-        return False
+        return value
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(
+        value, (int, float) if isinstance(default, float) else type(default)
+    ):
+        raise TypeError
+    if isinstance(default, float):
+        if not math.isfinite(value):  # OverflowError for an int beyond the float range
+            raise ValueError
+        return float(value)
     if isinstance(default, list) and default:
-        return all(json_type_matches(default[0], v) for v in value)
-    return True
+        return [_converted(default[0], v) for v in value]
+    return value
+
+
+def checked_keys(defaults: dict, doc: dict, what: str, required=()) -> dict:
+    """The values of ``doc`` converted to the types of their ``defaults``.
+
+    An unknown key, a missing ``required`` key, a value without its default's JSON
+    type and a number that is not a finite float raise a ValueError naming ``what``
+    and the key.
+    """
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} {key!r} is missing")
+    out = {}
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ValueError(f"unknown {what} {key!r}; expected one of {sorted(defaults)}")
+        try:
+            out[key] = _converted(defaults[key], value)
+        except TypeError as exc:
+            raise ValueError(f"{what} {key!r} must have the JSON type of {defaults[key]!r}, got {value!r:.60}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{what} {key!r} must be finite, got {value!r:.60}") from exc
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,17 +249,9 @@ class JointDist:
         """Inverse of ``to_json_dict``; a malformed document raises ValueError naming the key."""
         if not isinstance(doc, dict):
             raise ValueError("distribution document must be a JSON object")
-        keys = (("V", 0, "an integer"), ("L", 0, "an integer"), ("probs", [0.0], "an array of numbers"))
-        for key, default, kind in keys:
-            if key not in doc:
-                raise ValueError(f"distribution key {key!r} is missing")
-            if not json_type_matches(default, doc[key]):
-                raise ValueError(f"distribution key {key!r} must hold {kind}, got {doc[key]!r:.60}")
-        try:
-            probs = np.asarray(doc["probs"], dtype=float)
-        except OverflowError as exc:
-            raise ValueError(f"distribution key 'probs' holds a number too large for a float: {exc}") from exc
-        return cls(vocab=doc["V"], length=doc["L"], probs=probs)
+        schema = {"V": 0, "L": 0, "probs": [0.0]}
+        doc = checked_keys(schema, doc, "distribution key", required=schema)
+        return cls(vocab=doc["V"], length=doc["L"], probs=np.asarray(doc["probs"]))
 
     @classmethod
     def load(cls, path: str | Path) -> "JointDist":
@@ -275,6 +297,6 @@ def make_joint(
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.full(n, alpha))
     else:
-        raise ValueError(f"unknown joint kind {kind!r}")
+        raise ValueError(f"unknown joint kind {kind!r}; expected one of ('uniform', 'product', 'copy', 'dirichlet')")
     probs = probs / probs.sum()
     return JointDist(vocab=vocab, length=length, probs=probs)

@@ -190,8 +190,8 @@ class NoiseGrid:
         """Uniform in reverse time: u_k = horizon - k*(horizon - terminal)/steps."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if not 0.0 <= terminal < horizon:
-            raise ValueError("need 0 <= terminal < horizon")
+        if not 0.0 <= terminal < horizon < math.inf:
+            raise ValueError(f"need 0 <= terminal < horizon < inf, got horizon={horizon!r}, terminal={terminal!r}")
         lv = np.linspace(horizon, terminal, steps + 1)
         lv[0], lv[-1] = horizon, terminal
         return cls(levels=tuple(float(v) for v in lv))
@@ -217,6 +217,6 @@ class NoiseGrid:
         """Geometric decay over steps - 1 steps from horizon to floor, then a last step to u = 0."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if not 0.0 < floor < horizon:
-            raise ValueError("need 0 < floor < horizon")
+        if not 0.0 < floor < horizon < math.inf:
+            raise ValueError(f"need 0 < floor < horizon < inf, got horizon={horizon!r}, floor={floor!r}")
         return cls(levels=tuple(float(v) for v in np.geomspace(horizon, floor, steps)) + (0.0,))

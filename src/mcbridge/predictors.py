@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, index_matrix, json_type_matches, onehot
+from .discrete import JointDist, checked_keys, index_matrix, onehot
 from .oracle import logsumexp, posterior_marginals, row_softmax
 from .seeding import derive_rng
 
@@ -152,22 +152,16 @@ class TrainedPredictor(MarginalPredictor):
         """
         if not isinstance(doc, dict):
             raise ValueError("predictor document must be a JSON object")
-        for key, kind in (("config", dict), ("widths", list), ("weights", dict)):
-            if not isinstance(doc.get(key), kind):
-                raise ValueError(f"predictor key {key!r} must hold a JSON {'object' if kind is dict else 'array'}")
-        cfg_doc = dict(doc["config"])
+        schema = {"config": {}, "widths": [0], "weights": {}}
+        doc = checked_keys(schema, doc, "predictor key", required=schema)
         types = {"vocab": 0, "length": 0, **{f.name: f.default for f in fields(TrainConfig)}}
-        for key, value in cfg_doc.items():
-            if key not in types:
-                raise ValueError(f"unknown predictor config key {key!r}")
-            if not json_type_matches(types[key], value):
-                raise ValueError(f"predictor config key {key!r} must have the JSON type of {types[key]!r}")
-        vocab, length = cfg_doc.pop("vocab", 0), cfg_doc.pop("length", 0)
+        cfg_doc = checked_keys(types, doc["config"], "predictor config key", required=("vocab", "length"))
+        vocab, length = cfg_doc.pop("vocab"), cfg_doc.pop("length")
         if vocab < 1 or length < 1:
             raise ValueError(f"predictor config keys 'vocab' and 'length' must be >= 1, got {vocab} and {length}")
         config = TrainConfig(**cfg_doc)
         widths = doc["widths"]
-        if len(widths) != 3 or not json_type_matches([0], widths):
+        if len(widths) != 3:
             raise ValueError(f"predictor key 'widths' must hold 3 integers, got {widths!r}")
         n_in, hidden, n_out = widths
         if n_in != vocab * length + 2 or n_out != vocab * length or hidden != config.hidden:
@@ -177,7 +171,7 @@ class TrainedPredictor(MarginalPredictor):
         for key, shape in shapes.items():
             try:
                 flat = np.asarray(doc["weights"][key], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"predictor weight {key!r} is missing or not an array of numbers: {exc}") from exc
             if flat.size != int(np.prod(shape)):
                 raise ValueError(f"weight {key} has {flat.size} values, expected {np.prod(shape)}")

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, validation, exit codes, schemas."""
 
+import argparse
 import csv
 import json
 import math
@@ -446,6 +447,43 @@ class TestConfigTypes:
     def test_int_accepted_for_float_default(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, {"temperature": 1, "horizon": 6, "steps": 2, "chains": 4})
         assert main(["sample", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        opts = json.loads((tmp_path / "r" / "sample_summary.json").read_text())["options"]
+        assert [(v, type(v)) for v in (opts["temperature"], opts["horizon"])] == [(1.0, float), (6.0, float)]
+
+    @pytest.mark.parametrize("command", ["gen-dist", "train", "sample", "sweep", "verify"])
+    def test_non_finite_float_option_exits_2_naming_key(self, tmp_path, copy_dist, capsys, command):
+        # every float option (and every float list), as a JSON integer too large for a float, NaN and Infinity
+        defaults, argv = {
+            "gen-dist": (cli._GEN_DIST_DEFAULTS, ["--kind", "dirichlet"]),
+            "train": (cli._TRAIN_DEFAULTS, ["--dist", copy_dist, "--steps", "2"]),
+            "sample": (cli._SAMPLE_DEFAULTS, ["--dist", copy_dist, "--oracle", "--steps", "2", "--chains", "4"]),
+            "sweep": (cli._SWEEP_DEFAULTS, ["--dist", copy_dist, "--oracle", "--chains", "4"]),
+            "verify": (cli._VERIFY_DEFAULTS, ["--dist", copy_dist]),
+        }[command]
+        floats = [k for k, d in defaults.items() if isinstance(d[0] if isinstance(d, list) else d, float)]
+        assert floats
+        out = tmp_path / "out"
+        for key in floats:
+            for value in (10**400, math.nan, math.inf):
+                cfg = _write_config(tmp_path, {key: [value] if isinstance(defaults[key], list) else value})
+                assert main([command, *argv, "--config", cfg, "--out", str(out)]) == 2, (key, value)
+                assert repr(key) in capsys.readouterr().err, (key, value)
+                assert not out.exists(), (key, value)
+
+    @pytest.mark.parametrize("where", ["u_min", "w1"])
+    def test_non_finite_predictor_number_exits_2_naming_key(self, tmp_path, capsys, where):
+        out = tmp_path / "r"
+        for value in (10**400, math.nan, math.inf):
+            doc = TrainedPredictor.initial(3, 2, TrainConfig(hidden=4, steps=0)).to_json_dict()
+            if where == "u_min":
+                doc["config"]["u_min"] = value
+            else:
+                doc["weights"]["w1"][0] = value
+            path = tmp_path / "predictor.json"
+            path.write_text(json.dumps(doc))
+            assert main(["sample", "--predictor", str(path), "--steps", "2", "--chains", "4", "--out", str(out)]) == 2
+            assert where in capsys.readouterr().err, value
+            assert not out.exists(), value
 
 
 class TestDistributionDocuments:
@@ -479,6 +517,14 @@ class TestDistributionDocuments:
         err = capsys.readouterr().err
         assert f"V={vocab}, L={length}" in err and "probs has shape (1,)" in err
 
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps({"V": 3, "L": 2, "probs": [1 / 9] * 9, "Vocab": 3}))
+        out = tmp_path / "r"
+        assert main(["sample", "--dist", str(path), "--oracle", "--chains", "4", "--out", str(out)]) == 2
+        assert "'Vocab'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nu.json"
         path.write_text(json.dumps({"V": 3, "probs": [1 / 9] * 9}))
@@ -506,6 +552,47 @@ class TestPredictorDocuments:
         code = main(["sample", "--predictor", str(path), "--steps", "2", "--chains", "4", "--out", str(tmp_path / "r")])
         assert code == 2
         assert named in capsys.readouterr().err
+
+
+# Each command's flags; the value flags are generated from the defaults tables.
+_FLAGS = {
+    "gen-dist": {"--kind", "--vocab", "--length", "--alpha", "--marginals"},
+    "train": {"--dist", "--steps", "--batch", "--learning-rate", "--hidden", "--u-min", "--horizon"},
+    "sample": {"--dist", "--oracle", "--predictor", "--grid", "--horizon", "--sde-floor", "--chains",
+               "--method", "--steps", "--temperature", "--nucleus-p", "--trace"},
+    "sweep": {"--dist", "--oracle", "--predictor", "--grid", "--horizon", "--sde-floor", "--chains"},
+    "verify": {"--dist"},
+}
+
+
+class TestFlags:
+    def test_each_command_has_its_flags(self):
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        got = {name: {s for a in p._actions for s in a.option_strings} for name, p in commands.items()}
+        assert got == {name: flags | {"-h", "--help", "--config", "--seed", "--out"} for name, flags in _FLAGS.items()}
+
+    def test_value_flags_parse_to_the_default_type(self):
+        args = cli.build_parser().parse_args(["sample", "--out", "r", "--horizon", "6", "--steps", "3", "--grid", "fm"])
+        assert [(v, type(v)) for v in (args.horizon, args.steps, args.grid)] == [(6.0, float), (3, int), ("fm", str)]
+
+    @pytest.mark.parametrize(
+        "argv, doc, accepted",
+        [
+            (["sample", "--method", "bogus"], {}, "('mcb', 'ddpm', 'ode', 'sde')"),
+            (["sample", "--grid", "bogus"], {}, "('fm', 'uniform', 'geometric')"),
+            (["sample"], {"method": "sde", "grid": "bogus"}, "('fm', 'uniform', 'geometric')"),
+            (["gen-dist", "--kind", "bogus"], {}, "('uniform', 'product', 'copy', 'dirichlet')"),
+        ],
+        ids=["method-flag", "grid-flag", "sde-grid-config", "kind-flag"],
+    )
+    def test_unknown_value_exits_2_naming_it(self, tmp_path, copy_dist, capsys, argv, doc, accepted):
+        if argv[0] == "sample":
+            argv = argv + ["--dist", copy_dist, "--oracle", "--steps", "2", "--chains", "4"]
+        out = tmp_path / "out"
+        assert main(argv + ["--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and accepted in err
+        assert not out.exists()
 
 
 class TestFlagOverridesConfig:

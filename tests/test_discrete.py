@@ -10,6 +10,7 @@ from mcbridge.discrete import (
     EnumerationLimitError,
     JointDist,
     TokenSequence,
+    checked_keys,
     checked_rows,
     encode,
     enumerate_sequences,
@@ -205,3 +206,34 @@ class TestJointDist:
         path.write_text(json.dumps({"V": 2, "L": 1, "probs": [0.6, 0.6]}))
         with pytest.raises(ValueError):
             JointDist.load(path)
+
+
+class TestCheckedKeys:
+    DEFAULTS = {"x": 1.0, "n": 0, "xs": [0.5], "name": "a", "any": None}
+
+    def test_converts_to_the_default_types(self):
+        got = checked_keys(self.DEFAULTS, {"x": 2, "xs": [1, 2.5], "n": 3, "any": [1]}, "option")
+        assert got == {"x": 2.0, "xs": [1.0, 2.5], "n": 3, "any": [1]}
+        assert [type(v) for v in (got["x"], *got["xs"])] == [float, float, float]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"y": 1}, "unknown option 'y'"),
+            ({"n": True}, "option 'n' must have the JSON type of 0"),
+            ({"n": 1.5}, "option 'n' must have the JSON type of 0"),
+            ({"name": 1}, "option 'name' must have the JSON type of 'a'"),
+            ({"xs": [1.0, "b"]}, r"option 'xs' must have the JSON type of \[0.5\]"),
+            ({"x": 10**400}, "option 'x' must be finite"),
+            ({"x": -math.inf}, "option 'x' must be finite"),
+            ({"xs": [1.0, math.nan]}, "option 'xs' must be finite"),
+            ({"xs": [10**400]}, "option 'xs' must be finite"),
+        ],
+    )
+    def test_rejects_naming_the_key(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            checked_keys(self.DEFAULTS, doc, "option")
+
+    def test_required_key_missing(self):
+        with pytest.raises(ValueError, match="option 'n' is missing"):
+            checked_keys(self.DEFAULTS, {"x": 1.0}, "option", required=("x", "n"))

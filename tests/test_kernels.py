@@ -1,6 +1,7 @@
 """Closed-form kernel checks: coefficients, bridges, drifts, time maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,18 @@ class TestNoiseGrid:
     def test_geometric(self):
         grid = NoiseGrid.geometric(6.0, 4, floor=0.1)
         assert grid.levels[-1] == 0.0 and grid.steps == 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: NoiseGrid.uniform(math.inf, 4), lambda: NoiseGrid.geometric(math.inf, 4, floor=0.1)],
+        ids=["uniform", "geometric"],
+    )
+    def test_infinite_horizon_rejected_before_spacing(self, build):
+        # no numpy warning from spacing levels out to infinity, and the message names the horizon
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="horizon=inf"):
+                build()
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
