@@ -2,7 +2,7 @@
 
 Library layout:
 
-  kernels     closed-form OU coefficients, bridges, drifts, time conventions
+  kernels     closed-form OU coefficients, bridges, time conventions
   discrete    vocabulary, one-hot embedding, enumeration, explicit joints
   oracle      exact brute-force posteriors, filters, and kernel densities
   predictors  marginal predictors (exact and trained) + decoding transforms
@@ -22,7 +22,6 @@ from .discrete import (
 from .kernels import (
     NoiseGrid,
     OuCoeffs,
-    bridge_drift,
     forward_sample,
     fm_time_inverse,
     fm_time_map,
@@ -56,7 +55,6 @@ from .samplers import (
     SamplerConfig,
     StepFailed,
     batch_sample,
-    batch_sample_traced,
     ddpm_step,
     mcb_step,
     ode_step,

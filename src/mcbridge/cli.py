@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, checked_keys, make_joint, onehot_matrix
+from .discrete import JointDist, checked_keys, make_joint, onehot_matrix, parse_json
 from .kernels import NoiseGrid, forward_sample, reverse_step_coeffs
 from .metrics import (
+    GapReport,
     denoising_gap,
     empirical_tv,
     factorization_check,
@@ -32,14 +33,14 @@ from .metrics import (
 )
 from .oracle import kernel_kl_estimate
 from .predictors import OraclePredictor, TrainConfig, TrainedPredictor, train_predictor
-from .samplers import SamplerConfig, batch_sample, batch_sample_traced
-from .seeding import derive_rng
+from .samplers import SamplerConfig, batch_sample
+from .seeding import check_seed, derive_rng
 
 
 def _merged(defaults: dict, args: argparse.Namespace) -> dict:
     """defaults <- --config file values <- explicitly passed flags, each checked and
     converted to its default's type by ``checked_keys``."""
-    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    config = parse_json(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     flags = {key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None}
@@ -94,7 +95,7 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
     marginals = opts["marginals"]
     if marginals is not None:
         try:
-            marginals = np.asarray(json.loads(marginals) if isinstance(marginals, str) else marginals, dtype=float)
+            marginals = np.asarray(parse_json(marginals) if isinstance(marginals, str) else marginals, dtype=float)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"'marginals' must be an (L, V) array of numbers: {exc}") from exc
     nu = make_joint(
@@ -170,11 +171,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = _chain_count(opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.trace:
-        seqs, _, steps = batch_sample_traced(cfg, pred, n)
+    steps = [] if args.trace else None
+    seqs = batch_sample(cfg, pred, n, steps=steps)
+    if steps is not None:
         _write_csv(out / "steps.csv", steps, list(steps[0]))
-    else:
-        seqs = batch_sample(cfg, pred, n)
     with (out / "samples.txt").open("w", encoding="utf-8") as fh:
         for seq in seqs:
             fh.write(" ".join(str(t) for t in seq.tokens) + "\n")
@@ -313,6 +313,7 @@ def _check_verify_options(opts: dict) -> None:
     for key in ("identity_tol", "moment_tol"):
         if not opts[key] >= 0.0:
             raise ValueError(f"verify option {key!r} must be >= 0, got {opts[key]!r}")
+    check_seed(opts["seed"])
     # the kernel and the grid own their level limits; only the keys are named here
     try:
         reverse_step_coeffs(opts["bound_u_next"], opts["bound_u_k"])
@@ -324,91 +325,87 @@ def _check_verify_options(opts: dict) -> None:
         raise ValueError(f"verify option 'horizon': {exc}") from exc
 
 
-# On a product law the KL estimate, the multi-information and the SE are all
-# 0 up to rounding (~1e-16), so the bound is checked with the same 1e-12
-# slack as acceptance criterion 2.
-_BOUND_SLACK = 1e-12
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merged(_VERIFY_DEFAULTS, args)
-    _check_verify_options(opts)
-    nu = JointDist.load(args.dist)
+# verify's four checks, which acceptance criteria 1-4 also run; each returns its checks.csv record.
+def check_factorization(nu: JointDist, opts: dict, rng: np.random.Generator) -> dict:
+    """KL(joint posterior || product of its marginals) == multi-information, at
+    ``states_per_level`` forward states drawn at each of the ``levels``."""
     onehot = onehot_matrix(nu.vocab, nu.length)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = opts["seed"]
-    checks: list[dict] = []
-
-    # factorization identity: KL(joint || product of marginals) == multi-information
-    rng = derive_rng(seed, "verify", "factorization")
     worst = 0.0
     for level in opts["levels"]:
         for _ in range(opts["states_per_level"]):
             x = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], level, rng)
             worst = max(worst, factorization_check(nu, level, x).gap)
     tol = opts["identity_tol"]
-    checks.append({"check": "factorization_identity", "statistic": worst, "threshold": tol, "passed": worst < tol})
+    return {"check": "factorization_identity", "statistic": worst, "threshold": tol, "passed": worst < tol}
 
-    # one-step moment identities (closed form, no sampling)
-    rng = derive_rng(seed, "verify", "moments")
-    worst_mean, worst_cov = 0.0, 0.0
+
+def check_moments(nu: JointDist, opts: dict, rng: np.random.Generator) -> dict:
+    """One-step moment identities in closed form, on ``moment_trials`` flat-Dirichlet
+    marginal tables of the shape of ``nu``; no sampling."""
+    worst = 0.0
     for _ in range(opts["moment_trials"]):
         rows = rng.dirichlet(np.ones(nu.vocab), size=nu.length)
         y = rng.standard_normal(nu.dim)
         u_k = rng.uniform(0.2, 3.0)
         u_next = u_k * rng.uniform(0.05, 0.95)
         res = moment_check(rows, y, u_k, u_next)
-        worst_mean = max(worst_mean, res.mean_residual)
-        worst_cov = max(worst_cov, res.cov_residual)
-    stat = max(worst_mean, worst_cov)
+        worst = max(worst, res.mean_residual, res.cov_residual)
     tol = opts["moment_tol"]
-    checks.append({"check": "one_step_moments", "statistic": stat, "threshold": tol, "passed": stat < tol})
+    return {"check": "one_step_moments", "statistic": worst, "threshold": tol, "passed": worst < tol}
 
-    # kernel KL bound: MC estimate <= multi-information + sigma * SE
-    rng = derive_rng(seed, "verify", "kernel-bound")
-    bound_ok = True
-    worst_margin = -float("inf")
+
+# On a product law the KL estimate, the multi-information and the SE are all
+# 0 up to rounding (~1e-16), so the bound passes a margin up to this slack.
+_BOUND_SLACK = 1e-12
+
+
+def check_kernel_bound(nu: JointDist, opts: dict, rng: np.random.Generator) -> dict:
+    """MC kernel KL <= multi-information + bound_sigma * SE at ``bound_instances``
+    forward states; the statistic is the largest margin."""
+    onehot = onehot_matrix(nu.vocab, nu.length)
+    u_k = opts["bound_u_k"]
+    worst = -float("inf")
     for _ in range(opts["bound_instances"]):
-        u_k = opts["bound_u_k"]
         y = forward_sample(onehot[nu.sample_indices(rng, 1)[0]], u_k, rng)
         est = kernel_kl_estimate(nu, y, u_k, opts["bound_u_next"], opts["bound_n_mc"], rng)
-        margin = est.estimate - est.mi - opts["bound_sigma"] * est.se
-        worst_margin = max(worst_margin, margin)
-        bound_ok = bound_ok and margin <= _BOUND_SLACK
-    checks.append(
-        {"check": "kernel_kl_bound", "statistic": worst_margin, "threshold": _BOUND_SLACK, "passed": bound_ok}
-    )
+        worst = max(worst, est.estimate - est.mi - opts["bound_sigma"] * est.se)
+    return {"check": "kernel_kl_bound", "statistic": worst, "threshold": _BOUND_SLACK, "passed": worst <= _BOUND_SLACK}
 
-    # denoising gap: nonnegative per interval, strictness recorded
-    rng = derive_rng(seed, "verify", "gap")
+
+def check_gap(nu: JointDist, opts: dict, rng: np.random.Generator) -> tuple[dict, GapReport]:
+    """Denoising gap on a uniform grid: every interval's gap and the total are
+    >= -gap_sigma * SE. Also returns the report."""
     grid = NoiseGrid.uniform(opts["horizon"], opts["gap_steps"])
     report = denoising_gap(nu, grid, opts["gap_nodes"], opts["gap_n_mc"], rng)
     sigma = opts["gap_sigma"]
-    interval_ok = all(g >= -sigma * s for _, g, s in report.interval_gaps())
-    total_ok = report.total_gap >= -sigma * report.total_gap_se
-    checks.append(
-        {
-            "check": "denoising_gap",
-            "statistic": report.total_gap,
-            "threshold": -sigma * report.total_gap_se,
-            "passed": bool(interval_ok and total_ok),
-        }
-    )
+    floor = -sigma * report.total_gap_se
+    passed = all(g >= -sigma * se for _, g, se in report.interval_gaps()) and report.total_gap >= floor
+    return {"check": "denoising_gap", "statistic": report.total_gap, "threshold": floor, "passed": bool(passed)}, report
 
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    opts = _merged(_VERIFY_DEFAULTS, args)
+    _check_verify_options(opts)
+    nu = JointDist.load(args.dist)
+    seed = opts["seed"]
+    checks = [
+        check_factorization(nu, opts, derive_rng(seed, "verify", "factorization")),
+        check_moments(nu, opts, derive_rng(seed, "verify", "moments")),
+        check_kernel_bound(nu, opts, derive_rng(seed, "verify", "kernel-bound")),
+    ]
+    gap, report = check_gap(nu, opts, derive_rng(seed, "verify", "gap"))
+    checks.append(gap)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     gap_rows = report.csv_rows()
     _write_csv(out / "gap_nodes.csv", gap_rows, list(gap_rows[0]) if gap_rows else ["interval"])
     _write_csv(out / "checks.csv", checks, ["check", "statistic", "threshold", "passed"])
-    summary = {
-        "options": opts,
-        "checks": checks,
-        "gap": report.summary(),
-        "all_passed": all(c["passed"] for c in checks),
-    }
+    passed = all(c["passed"] for c in checks)
+    summary = {"options": opts, "checks": checks, "gap": report.summary(), "all_passed": passed}
     _write_json(out / "verify_summary.json", summary)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['check']}  statistic={c['statistic']:.3e}")
-    if summary["all_passed"]:
+    if passed:
         print("verify: all checks passed")
         return 0
     failing = ", ".join(c["check"] for c in checks if not c["passed"])

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .seeding import check_seed
+
 DEFAULT_ENUM_CAP = 4096
 
 _SUM_TOL = 1e-12
@@ -176,6 +178,19 @@ def _converted(default, value):
     return value
 
 
+def _parse_int(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts: beyond any finite option
+        return -math.inf if text.startswith("-") else math.inf
+
+
+def parse_json(text: str):
+    """``json.loads``, reading an integer too long to convert as +-inf, so that
+    ``checked_keys`` or the loader's finiteness check rejects it naming the key."""
+    return json.loads(text, parse_int=_parse_int)
+
+
 def checked_keys(defaults: dict, doc: dict, what: str, required=()) -> dict:
     """The values of ``doc`` converted to the types of their ``defaults``.
 
@@ -255,7 +270,7 @@ class JointDist:
 
     @classmethod
     def load(cls, path: str | Path) -> "JointDist":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(parse_json(Path(path).read_text(encoding="utf-8")))
 
 
 def make_joint(
@@ -276,6 +291,8 @@ def make_joint(
       dirichlet - one draw with concentration alpha from the given seed
     """
     n = _check_space(vocab, length)
+    if seed is not None:
+        check_seed(seed)
     if kind == "uniform":
         probs = np.full(n, 1.0 / n)
     elif kind == "copy":

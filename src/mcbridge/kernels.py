@@ -5,7 +5,7 @@ Gaussian: X_t | X_0 ~ N(c_t X_0, sigma_t^2 I) with c_t = exp(-t) and
 sigma_t^2 = 1 - exp(-2t), so c_t^2 + sigma_t^2 = 1 for every t.
 
 This module provides those coefficients, the forward sampler, the score via
-the posterior mean, the pinned-bridge moments/drifts, and the change of
+the posterior mean, the reverse-step bridge coefficients, and the change of
 variables between the noise-level convention (data at u = 0) and the
 flow-matching convention (data at t = 1).
 """
@@ -20,15 +20,8 @@ import numpy as np
 _TAYLOR_CUTOFF = 1e-5
 
 # sinh overflows double precision near 710; bridge-ratio forms would turn
-# into inf/inf = nan, so bridge operations reject levels beyond this
+# into inf/inf = nan, so reverse_step_coeffs rejects levels beyond this
 _MAX_BRIDGE_LEVEL = 700.0
-
-
-def _check_bridge_level(t: float, name: str = "t") -> None:
-    if t > _MAX_BRIDGE_LEVEL:
-        raise ValueError(
-            f"{name}={t} exceeds {_MAX_BRIDGE_LEVEL}; the hyperbolic bridge forms overflow there"
-        )
 
 
 def stable_sinh(a: float) -> float:
@@ -83,17 +76,6 @@ def tweedie_score(x: np.ndarray, t: float, m: np.ndarray) -> np.ndarray:
     return (co.c * np.asarray(m, dtype=float) - np.asarray(x, dtype=float)) / co.sigma2
 
 
-def bridge_drift(s: float, t: float, x_s: np.ndarray, x_t: np.ndarray) -> np.ndarray:
-    """Drift of the bridge pinned at x_t: (x_t - x_s cosh(t-s)) / sinh(t-s)."""
-    s = _check_time(s, "s")
-    t = _check_time(t, "t")
-    if s >= t:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
-    _check_bridge_level(t)
-    d = t - s
-    return (np.asarray(x_t, dtype=float) - np.asarray(x_s, dtype=float) * math.cosh(d)) / stable_sinh(d)
-
-
 def fm_time_map(u: float) -> tuple[float, float]:
     """Map a forward noise level u > 0 to (t_fm, scale).
 
@@ -143,7 +125,8 @@ def reverse_step_coeffs(u_next: float, u_k: float) -> tuple[float, float, float]
     u_k = _check_time(u_k, "u_k")
     if u_next >= u_k:
         raise ValueError(f"need u_next < u_k, got u_next={u_next}, u_k={u_k}")
-    _check_bridge_level(u_k, "u_k")
+    if u_k > _MAX_BRIDGE_LEVEL:
+        raise ValueError(f"u_k={u_k} exceeds {_MAX_BRIDGE_LEVEL}; the hyperbolic bridge forms overflow there")
     if u_next == 0.0:
         return 1.0, 0.0, 0.0
     sh_k = stable_sinh(u_k)
@@ -198,12 +181,10 @@ class NoiseGrid:
 
     @classmethod
     def fm_uniform(cls, horizon: float, steps: int) -> "NoiseGrid":
-        """Uniform in the flow-matching time coordinate, ending at 0.
+        """Uniform in the flow-matching time t = fm_time_map(u)[0], from the horizon to u = 0.
 
-        This spacing concentrates steps at low noise, where factorized
-        endpoint posteriors actually differ from the joint; empirically it
-        recovers coupled laws at far smaller step counts than spacing that is
-        uniform in reverse time.
+        Equal steps in t are short steps in u near 0, where dt/du diverges,
+        and long ones near the horizon, where t ~ exp(-u) is flat.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import JointDist, checked_keys, index_matrix, onehot
+from .discrete import JointDist, checked_keys, index_matrix, onehot, parse_json
 from .oracle import logsumexp, posterior_marginals, row_softmax
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,6 +78,7 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if not 0.0 < self.u_min < self.horizon:
             raise ValueError("need 0 < u_min < horizon")
+        check_seed(self.seed)
 
 
 class TrainedPredictor(MarginalPredictor):
@@ -182,7 +183,7 @@ class TrainedPredictor(MarginalPredictor):
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedPredictor":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(parse_json(Path(path).read_text(encoding="utf-8")))
 
 
 def oracle_predictor(nu: JointDist) -> OraclePredictor:

@@ -25,9 +25,9 @@ Each method is one batched step function; the steps share one signature and
 take their pre-drawn uniforms and noise, so the runner alone decides the draw
 layout and a single-chain step is a batch of one.
 
-A traced run (run_chain, batch_sample_traced) also returns one row of
-aggregates over the whole batch per step (see _step_row); it draws nothing
-more, so its tokens and states equal the untraced run's.
+A traced run (run_chain, or batch_sample with a ``steps`` list) also
+collects one row of aggregates over the whole batch per step (see _step_row);
+it draws nothing more, so its tokens and states equal the untraced run's.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .discrete import TokenSequence, onehot
 from .kernels import NoiseGrid, fm_time_map, reverse_step_coeffs, tweedie_score
 from .oracle import _ROW_TOL, row_entropy
 from .predictors import MarginalPredictor, nucleus_rows, temperature_rows
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 
 class StepFailed(RuntimeError):
@@ -73,6 +73,7 @@ class SamplerConfig:
             raise ValueError(f"{self.method} needs a grid ending at 0, got {self.grid.terminal}")
         if self.method == "sde" and self.grid.terminal <= 0.0:
             raise ValueError("sde needs a grid ending at a positive floor level")
+        check_seed(self.seed)
 
 
 def _sample_categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -282,33 +283,20 @@ def run_chain(
     return final[0], seqs[0], steps
 
 
-def _chain_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [derive_rng(seed, "chain", i) for i in range(n)]
-
-
 def batch_sample(
     cfg: SamplerConfig,
     pred: MarginalPredictor,
     n: int,
     return_states: bool = False,
+    steps: list[dict] | None = None,
 ):
     """n independent chains; chain i uses the stream derived from (seed, i).
 
     Output order matches chain index, and each chain's output is unchanged
     when n grows because streams are derived per index, not sequentially.
+    When ``steps`` is a list, one aggregate row per step is appended to it.
     """
-    final, seqs = _run_lockstep(cfg, pred, _chain_rngs(cfg.seed, n))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    final, seqs = _run_lockstep(cfg, pred, [derive_rng(cfg.seed, "chain", i) for i in range(n)], steps)
     return (seqs, final) if return_states else seqs
-
-
-def batch_sample_traced(
-    cfg: SamplerConfig,
-    pred: MarginalPredictor,
-    n: int,
-) -> tuple[list[TokenSequence], np.ndarray, list[dict]]:
-    """batch_sample's sequences and states, plus one aggregate row per step."""
-    steps: list[dict] = []
-    final, seqs = _run_lockstep(cfg, pred, _chain_rngs(cfg.seed, n), steps)
-    return seqs, final, steps

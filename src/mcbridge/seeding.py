@@ -29,6 +29,12 @@ def _tag_word(tag: str | int) -> int:
     return int(tag) & _MASK64
 
 
+def check_seed(seed: int) -> None:
+    """Reject a root seed outside [0, 2**64), which would otherwise wrap onto another seed's streams."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+
+
 def seed_sequence(root_seed: int, *tags: str | int) -> np.random.SeedSequence:
     entropy = [int(root_seed) & _MASK64] + [_tag_word(t) for t in tags]
     return np.random.SeedSequence(entropy)

@@ -7,30 +7,24 @@ criterion.
 
 import math
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 from helpers import brute_filtered_mean, forward_state
 
+from mcbridge.cli import _VERIFY_DEFAULTS, check_factorization, check_gap, check_kernel_bound, check_moments
 from mcbridge.discrete import encode, make_joint, onehot
 from mcbridge.kernels import NoiseGrid, reverse_step_coeffs
 from mcbridge.metrics import (
     denoising_gap,
     empirical_tv,
-    factorization_check,
-    moment_check,
     oracle_nll,
     tv_noise_scale,
     unigram_entropy,
     unigram_entropy_se,
 )
-from mcbridge.oracle import (
-    filtered_endpoint_means,
-    joint_posterior_probs,
-    kernel_kl_estimate,
-    multi_information,
-    posterior_marginals,
-)
+from mcbridge.oracle import filtered_endpoint_means, kernel_kl_estimate, posterior_marginals
 from mcbridge.predictors import TrainConfig, train_predictor
 from mcbridge.samplers import (
     SamplerConfig,
@@ -59,21 +53,17 @@ def test_criterion_1_factorization_identity():
     multi-information to 1e-12 on random laws, levels, and states."""
     with criterion(1, "factorization identity", 10.0):
         rng = derive_rng(101, "accept", "identity")
-        levels = (0.05, 0.5, 1.0, 2.0, 6.0)
+        opts = {**_VERIFY_DEFAULTS, "levels": [0.05, 0.5, 1.0, 2.0, 6.0], "states_per_level": 5, "identity_tol": 1e-12}
         worst = 0.0
-        cases = 0
+        laws = 0
         for vocab, length, base_seed in ((3, 2, 0), (4, 2, 100)):
             for seed in range(base_seed, base_seed + 10):
-                nu = make_joint("dirichlet", vocab, length, seed=seed)
-                for level in levels:
-                    for _ in range(5):
-                        x = forward_state(nu, level, rng)
-                        gap = factorization_check(nu, level, x).gap
-                        worst = max(worst, gap)
-                        assert gap < 1e-12, f"V={vocab} seed={seed} t={level}: gap={gap}"
-                        cases += 1
-        assert cases == 20 * 5 * 5
-        print(f"  worst |kl - mi| = {worst:.3e} over {cases} cases")
+                record = check_factorization(make_joint("dirichlet", vocab, length, seed=seed), opts, rng)
+                assert record["passed"], f"V={vocab} seed={seed}: gap={record['statistic']}"
+                worst = max(worst, record["statistic"])
+                laws += 1
+        assert laws == 20
+        print(f"  worst |kl - mi| = {worst:.3e} over {laws * 5 * 5} cases")
 
 
 def test_criterion_2_kernel_kl_bound(copy3x2, product3x2):
@@ -82,32 +72,27 @@ def test_criterion_2_kernel_kl_bound(copy3x2, product3x2):
     with criterion(2, "kernel KL bound", 120.0):
         rng = derive_rng(102, "accept", "bound")
         u_k, u_next, n = 1.0, 0.5, 10_000
-        for inst in range(10):
-            y = forward_state(copy3x2, u_k, rng)
-            post = joint_posterior_probs(copy3x2, u_k, y)[0]
-            mi = multi_information(post, posterior_marginals(copy3x2, u_k, y)[0])
-            est = kernel_kl_estimate(copy3x2, y, u_k, u_next, n, rng)
-            assert est.estimate <= mi + 3 * est.se, f"instance {inst}: {est.estimate} > {mi} + 3se"
-            assert est.n_flagged == 0
+        opts = {**_VERIFY_DEFAULTS, "bound_instances": 10, "bound_u_k": u_k, "bound_u_next": u_next,
+                "bound_n_mc": n, "bound_sigma": 3.0}
+        # a flagged (non-finite) log-density ratio warns; here it fails the criterion
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            record = check_kernel_bound(copy3x2, opts, rng)
+        # threshold 0: every instance has estimate <= mi + 3se, without verify's rounding slack
+        assert record["statistic"] <= 0.0, record
         for inst in range(10):
             y = forward_state(product3x2, u_k, rng)
             est = kernel_kl_estimate(product3x2, y, u_k, u_next, n, rng)
             assert abs(est.estimate) <= 3 * est.se + 1e-12, f"product instance {inst}"
 
 
-def test_criterion_3_one_step_moments():
-    """Closed-form mean/covariance-surplus residuals below 1e-12 on random
-    marginal tables, plus one empirical spot check at n = 1e5."""
+def test_criterion_3_one_step_moments(uniform3x2):
+    """Closed-form mean/covariance-surplus residuals below 1e-12 on verify's
+    flat-Dirichlet marginal tables, plus one empirical spot check at n = 1e5."""
     with criterion(3, "one-step moments", 60.0):
         rng = derive_rng(103, "accept", "moments")
-        for _ in range(50):
-            rows = rng.dirichlet(np.full(3, rng.uniform(0.3, 3.0)), size=2)
-            y = rng.standard_normal(6)
-            u_k = rng.uniform(0.2, 3.0)
-            u_next = u_k * rng.uniform(0.05, 0.95)
-            res = moment_check(rows, y, u_k, u_next)
-            assert res.mean_residual < 1e-12
-            assert res.cov_residual < 1e-12
+        record = check_moments(uniform3x2, {**_VERIFY_DEFAULTS, "moment_trials": 50, "moment_tol": 1e-12}, rng)
+        assert record["passed"], record
 
         # empirical spot check of the endpoint-sampling one-step law
         rows = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
@@ -137,9 +122,10 @@ def test_criterion_4_denoising_gap(copy3x2):
     law; per-position additivity on a product law."""
     with criterion(4, "denoising gap", 300.0):
         rng = derive_rng(104, "accept", "gap")
-        report = denoising_gap(copy3x2, NoiseGrid.uniform(6.0, 8), 3, 20_000, rng)
-        for k, gap, se in report.interval_gaps():
-            assert gap >= -3 * se, f"interval {k}: gap {gap} < -3se"
+        opts = {**_VERIFY_DEFAULTS, "horizon": 6.0, "gap_steps": 8, "gap_nodes": 3, "gap_n_mc": 20_000,
+                "gap_sigma": 3.0}
+        record, report = check_gap(copy3x2, opts, rng)
+        assert record["passed"], f"a gap below -3se: {list(report.interval_gaps())}"
         assert report.total_gap > 3 * report.total_gap_se, "strictness not resolved"
 
         m0 = np.array([[0.3, 0.7]])

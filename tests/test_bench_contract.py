@@ -8,6 +8,7 @@ edited) so such drift fails here first. ``bench/run.py`` is not imported: it
 sets BLAS thread variables for the whole process.
 """
 
+import ast
 import sys
 from collections import Counter
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import mcbridge as mb
+from mcbridge import cli, samplers
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,6 +39,18 @@ def test_every_trace_target_is_bound(bench):
         assert absent == set()
     finally:
         tracer.uninstall(undo)
+
+
+def test_every_attribute_the_bench_reads_resolves():
+    # some names are read only on paths no other test runs (mb.TokenSequence: the many-chains TV gate)
+    modules = {"mb": mb, "cli": cli, "samplers": samplers}
+    read = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                read.add((node.value.id, node.attr))
+    assert ("mb", "TokenSequence") in read
+    assert sorted(f"{m}.{a}" for m, a in read if not hasattr(modules[m], a)) == []
 
 
 def _iterate(tracer, w, deep, workdir):

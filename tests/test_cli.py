@@ -17,6 +17,7 @@ from mcbridge import cli
 from mcbridge.cli import main
 from mcbridge.discrete import JointDist
 from mcbridge.predictors import TrainConfig, TrainedPredictor, train_predictor
+from mcbridge.seeding import derive_rng
 
 QUICK_VERIFY = {
     "levels": [0.5, 2.0],
@@ -333,6 +334,22 @@ class TestVerify:
             runs.append([(out / name).read_bytes() for name in names])
         assert runs[0] == runs[1]
 
+    def test_checks_csv_holds_the_records_of_the_check_functions(self, tmp_path, copy_dist):
+        # each check runs on the stream (seed, "verify", name) documented for verify
+        cfg = _write_config(tmp_path, QUICK_VERIFY)
+        out = tmp_path / "verify"
+        assert main(["verify", "--dist", copy_dist, "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+        nu, opts = JointDist.load(copy_dist), {**cli._VERIFY_DEFAULTS, **QUICK_VERIFY, "seed": 2}
+        records = [
+            cli.check_factorization(nu, opts, derive_rng(2, "verify", "factorization")),
+            cli.check_moments(nu, opts, derive_rng(2, "verify", "moments")),
+            cli.check_kernel_bound(nu, opts, derive_rng(2, "verify", "kernel-bound")),
+            cli.check_gap(nu, opts, derive_rng(2, "verify", "gap"))[0],
+        ]
+        with (out / "checks.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{k: repr(v) if isinstance(v, float) else str(v) for k, v in r.items()} for r in records]
+
     def test_corrupted_distribution_fails_before_checks(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"V": 2, "L": 1, "probs": [0.7, 0.7]}))
@@ -484,6 +501,67 @@ class TestConfigTypes:
             assert main(["sample", "--predictor", str(path), "--steps", "2", "--chains", "4", "--out", str(out)]) == 2
             assert where in capsys.readouterr().err, value
             assert not out.exists(), value
+
+
+class TestSeedRange:
+    def _argv(self, command: str, dist: str) -> list[str]:
+        return {
+            "gen-dist": ["--kind", "dirichlet"],
+            "train": ["--dist", dist, "--steps", "2"],
+            "sample": ["--dist", dist, "--oracle", "--steps", "2", "--chains", "4"],
+            "sweep": ["--dist", dist, "--oracle", "--chains", "4"],
+            "verify": ["--dist", dist],
+        }[command]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["gen-dist", "train", "sample", "sweep", "verify"])
+    def test_out_of_range_seed_exits_2_naming_it(self, tmp_path, copy_dist, capsys, command, seed):
+        # derive_rng keeps the low 64 bits, so -1 would replay seed 2**64 - 1
+        out = tmp_path / "out"
+        assert main([command, *self._argv(command, copy_dist), "--seed", str(seed), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-dist", "sample"])
+    def test_largest_seed_is_accepted(self, tmp_path, copy_dist, command):
+        argv = [command, *self._argv(command, copy_dist), "--seed", str(2**64 - 1), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+
+
+class TestLongIntegers:
+    """A JSON integer too long for Python to convert reads as +-inf, so it is rejected naming its key."""
+
+    LONG = "9" * 5000
+
+    def _fails_naming(self, argv: list[str], capsys, named: str) -> None:
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not Path(argv[-1]).exists()
+
+    def test_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"alpha": -' + self.LONG + "}")
+        argv = ["gen-dist", "--kind", "dirichlet", "--config", str(cfg), "--out", str(tmp_path / "d.json")]
+        self._fails_naming(argv, capsys, "'alpha'")
+
+    def test_distribution_entry(self, tmp_path, capsys):
+        path = tmp_path / "nu.json"
+        path.write_text('{"V": 3, "L": 2, "probs": [' + ", ".join([self.LONG] + ["0"] * 8) + "]}")
+        argv = ["sample", "--dist", str(path), "--oracle", "--chains", "4", "--out", str(tmp_path / "r")]
+        self._fails_naming(argv, capsys, "'probs'")
+
+    def test_predictor_weight(self, tmp_path, capsys):
+        doc = TrainedPredictor.initial(3, 2, TrainConfig(hidden=4, steps=0)).to_json_dict()
+        doc["weights"]["w1"][0] = "LONG"
+        path = tmp_path / "predictor.json"
+        path.write_text(json.dumps(doc).replace('"LONG"', self.LONG))
+        argv = ["sample", "--predictor", str(path), "--steps", "2", "--chains", "4", "--out", str(tmp_path / "r")]
+        self._fails_naming(argv, capsys, "w1")
+
+    def test_marginals_string(self, tmp_path, capsys):
+        argv = ["gen-dist", "--kind", "product", "--vocab", "2", "--length", "1",
+                "--marginals", f"[[{self.LONG}, 0]]", "--out", str(tmp_path / "d.json")]
+        self._fails_naming(argv, capsys, "marginals")
 
 
 class TestDistributionDocuments:

@@ -1,4 +1,4 @@
-"""Closed-form kernel checks: coefficients, bridges, drifts, time maps."""
+"""Closed-form kernel checks: coefficients, bridges, time maps."""
 
 import math
 import warnings
@@ -8,7 +8,6 @@ import pytest
 
 from mcbridge.kernels import (
     NoiseGrid,
-    bridge_drift,
     denoising_weight,
     fm_time_inverse,
     fm_time_map,
@@ -65,8 +64,9 @@ class TestStableSinh:
             np.testing.assert_allclose(denoising_weight(float(u)), co.c**2 / co.sigma2**2, rtol=1e-10)
 
     def test_weight_matches_quarter_squared_drift_difference(self):
-        """Two frozen-endpoint drifts at the same state differ by
-        (m1 - m2)/sinh(u), so |drift gap|^2/4 = weight * |m1 - m2|^2."""
+        """The drifts (m - y cosh u)/sinh u toward two frozen endpoints m1, m2 at
+        the same state differ by (m1 - m2)/sinh(u), so |drift gap|^2/4 =
+        weight * |m1 - m2|^2."""
         rng = np.random.default_rng(8)
         horizon = 6.0
         for _ in range(50):
@@ -75,9 +75,8 @@ class TestStableSinh:
             y = rng.standard_normal(5)
             m1 = rng.standard_normal(5)
             m2 = rng.standard_normal(5)
-            d1 = bridge_drift(0.0, u, y, m1)
-            d2 = bridge_drift(0.0, u, y, m2)
-            np.testing.assert_allclose(d1, (m1 - y * math.cosh(u)) / math.sinh(u), rtol=1e-12, atol=1e-12)
+            d1 = (m1 - y * math.cosh(u)) / math.sinh(u)
+            d2 = (m2 - y * math.cosh(u)) / math.sinh(u)
             lhs = float(((d1 - d2) ** 2).sum()) / 4.0
             rhs = denoising_weight(u) * float(((m1 - m2) ** 2).sum())
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
@@ -204,54 +203,6 @@ class TestBridgeParams:
         # sinh overflows near 710; the bridge forms refuse instead of emitting nan
         with pytest.raises(ValueError):
             reverse_step_coeffs(1.0, 800.0)
-
-
-class TestBridgeDrift:
-    def test_root(self):
-        x_s = np.array([0.4, -1.0])
-        x_t = x_s * math.cosh(0.8)
-        np.testing.assert_allclose(bridge_drift(0.2, 1.0, x_s, x_t), 0.0, atol=1e-14)
-
-    def test_pure_reversion(self):
-        x_s = np.array([1.0, -2.0])
-        expect = -x_s * math.cosh(0.6) / math.sinh(0.6)
-        np.testing.assert_allclose(bridge_drift(0.4, 1.0, x_s, np.zeros(2)), expect, rtol=1e-14)
-
-    def test_scalar_hand_value(self):
-        got = bridge_drift(0.0, 1.0, np.array([1.0]), np.array([1.0]))
-        np.testing.assert_allclose(got, [(1.0 - math.cosh(1.0)) / math.sinh(1.0)], rtol=1e-14)
-        np.testing.assert_allclose(got, [-0.4621171572600098], rtol=1e-12)
-
-    def test_rejects_s_geq_t(self):
-        with pytest.raises(ValueError):
-            bridge_drift(1.0, 1.0, np.zeros(1), np.zeros(1))
-
-
-class TestFrozenMeanDrift:
-    """The reverse-time drift toward a frozen endpoint estimate m, at reverse
-    time t of a path from ``horizon``: bridge_drift(0, u, y, m) with
-    u = horizon - t, which is (m - y cosh u)/sinh u."""
-
-    def test_root(self):
-        horizon, t = 2.0, 0.5
-        u = horizon - t
-        y = np.array([0.5, 2.0])
-        m = y * math.cosh(u)
-        np.testing.assert_allclose(bridge_drift(0.0, u, y, m), 0.0, atol=1e-14)
-        np.testing.assert_allclose((m - y * math.cosh(u)) / math.sinh(u), 0.0, atol=1e-14)
-
-    def test_scalar_hand_value(self):
-        horizon, t = 1.0, 0.0
-        u = horizon - t
-        y, m = np.array([0.0]), np.array([1.0])
-        got = bridge_drift(0.0, u, y, m)
-        np.testing.assert_allclose(got, (m - y * math.cosh(u)) / math.sinh(u), rtol=1e-14)
-        np.testing.assert_allclose(got, [0.8509181282393216], rtol=1e-12)
-
-    def test_rejects_t_at_horizon(self):
-        horizon = t = 1.0
-        with pytest.raises(ValueError):
-            bridge_drift(0.0, horizon - t, np.zeros(1), np.zeros(1))
 
 
 class TestFmTimeMap:

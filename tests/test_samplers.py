@@ -16,7 +16,6 @@ from mcbridge.samplers import (
     StepFailed,
     _sample_categorical_rows,
     batch_sample,
-    batch_sample_traced,
     ddpm_step,
     mcb_step,
     ode_step,
@@ -411,9 +410,11 @@ class TestBatchSample:
 
     def test_traced_variant_matches(self, copy_oracle):
         cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 4), method="mcb", seed=22)
-        plain = batch_sample(cfg, copy_oracle, 3)
-        traced, _, steps = batch_sample_traced(cfg, copy_oracle, 3)
+        plain, plain_states = batch_sample(cfg, copy_oracle, 3, return_states=True)
+        steps = []
+        traced, traced_states = batch_sample(cfg, copy_oracle, 3, return_states=True, steps=steps)
         assert plain == traced
+        np.testing.assert_array_equal(plain_states, traced_states)
         assert len(steps) == 4
 
 
