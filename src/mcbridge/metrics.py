@@ -15,7 +15,7 @@ Three kinds of checks live here:
 
 The quadrature nodes of the gap are independent: each draws from its own
 stream, derived from one word of the caller's generator, in fixed chunks of
-samples, and they run on the calling thread plus one helper thread per
+samples, and they run in the calling process plus one forked worker per
 further CPU. The report is the same for any CPU count and block budget.
 """
 
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -259,43 +260,92 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# Signal number of SIGKILL, which stops a forked worker when the caller is
+# interrupted (the signal module is not otherwise loaded).
+_SIGKILL = 9
+
+
 def _run_parallel(fn: Callable[[int], object], n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], run on the calling thread plus one helper thread
-    per further CPU, each pulling the next index under a lock.
+    """[fn(0), ..., fn(n - 1)], task i run by worker i mod k, k = min(n, CPUs).
 
-    The calling thread works too, so no thread sits idle holding its own
-    malloc arena. After the first exception no new index is handed out; it is
-    re-raised once every helper has joined.
+    Worker 0 is the calling process; workers 1..k-1 are forked children, each
+    sending its (index, result) pairs, or the error that stopped it, back
+    over a pipe. The assignment is static, so the caller runs the same tasks
+    on every call. Without ``os.fork``, or while another Python thread is
+    alive (the child would inherit its locks mid-use), every task runs in the
+    caller. Every pipe is read and every child reaped before the error of
+    the lowest failed task index is raised; when the caller is interrupted,
+    its children are killed and reaped first.
     """
+    k = min(n, _cpu_count())
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(i) for i in range(n)]
     results: list = [None] * n
-    errors: list[BaseException] = []
-    pending = iter(range(n))
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(i)
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work) for _ in range(min(n, _cpu_count()) - 1)]
-    for h in helpers:
-        h.start()
+    errors: list[tuple[int, BaseException]] = []
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
-        work()
+        for w in range(1, k):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, range(w, n, k), read, write)
+            os.close(write)
+            children.append((pid, read))
+        try:
+            for i in range(0, n, k):
+                results[i] = fn(i)
+        except Exception as exc:
+            errors.append((i, exc))
+        for w, (_, read) in enumerate(children, start=1):
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                errors.append((w, RuntimeError(f"worker {w} exited without a result")))
+                continue
+            done, error = pickle.loads(data)
+            for i, value in done:
+                results[i] = value
+            if error is not None:
+                errors.append(error)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, _SIGKILL)
+        raise
     finally:
-        for h in helpers:
-            h.join()
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda e: e[0])[1]
     return results
+
+
+def _worker(fn: Callable[[int], object], tasks: range, read: int, write: int) -> NoReturn:
+    """Body of a forked worker: run ``tasks`` in order until one raises, pickle
+    the (index, result) pairs and the error to ``write``, and leave through
+    ``os._exit`` so that nothing of the caller's stack runs in the child."""
+    status = 1
+    try:
+        os.close(read)
+        done, error = [], None
+        try:
+            for i in tasks:
+                done.append((i, fn(i)))
+        except BaseException as exc:
+            error = (i, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                error = (i, RuntimeError(repr(exc)))
+        try:
+            data = pickle.dumps((done, error))
+        except Exception as exc:
+            data = pickle.dumps(([], (tasks[0], RuntimeError(f"worker result not picklable: {exc!r}"))))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _gap_node(nu: JointDist, onehot: np.ndarray, u: float, u_k: float, n_mc: int, rng: np.random.Generator):
@@ -352,11 +402,11 @@ def denoising_gap(
     the non-skipped intervals, in order) then draws only from
     ``derive_rng(word, "gap-node", i)``, in chunks of _GAP_CHUNK samples: the
     endpoint indices, the X_u normals and the X_{u_k} normals of each chunk
-    in turn. The nodes run on every CPU (``_run_parallel``) and each keeps
-    only its own chunk and two per-sample error vectors, so the report
-    depends only on ``rng`` and the arguments, not on the oracle's block
-    budget or the CPU count, and transient memory does not grow with the
-    node count.
+    in turn. The nodes run on every CPU (``_run_parallel``: the caller plus
+    forked workers) and each keeps only its own chunk and two per-sample
+    error vectors, so the report depends only on ``rng`` and the arguments,
+    not on the oracle's block budget or the CPU count, and transient memory
+    does not grow with the node count.
     """
     if n_mc < 1000:
         raise ValueError(f"need n_mc >= 1000, got {n_mc}")

@@ -27,6 +27,10 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, loss: float):
         super().__init__(f"non-finite training loss {loss!r} at step {step}")
         self.step = step
+        self.loss = loss
+
+    def __reduce__(self):
+        return type(self), (self.step, self.loss)
 
 
 class MarginalPredictor(ABC):
@@ -190,55 +194,101 @@ def oracle_predictor(nu: JointDist) -> OraclePredictor:
     return OraclePredictor(nu)
 
 
+# SGD steps whose batches are drawn and featurized in one pass. At the V^L =
+# 4096 cap (4^6, batch 64) a chunk's arrays stay under 1 MB; wider states or
+# larger batches get fewer steps per chunk (at least one), so a chunk array
+# never exceeds the larger of 1 MB and one step's share.
+_TRAIN_CHUNK = 64
+_TRAIN_CHUNK_BYTES = 1 << 20
+
+
+def _split(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of consecutive slices of ``vec`` with the given shapes, in order."""
+    out, lo = {}, 0
+    for key, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        out[key] = vec[lo:hi].reshape(shape)
+        lo = hi
+    return out
+
+
 def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
     """Fit the marginal predictor with the denoising cross-entropy objective.
 
     Each step draws a batch of clean sequences, noise levels u ~ U[u_min, T],
-    and Gaussian noise; the input is c_u e(w) + sigma_u z and the loss is the
-    summed negative log-probability of the clean tokens. Aborts with the step
-    index when the loss goes non-finite. Per-step losses are kept on the
-    returned predictor as ``loss_history``.
+    and Gaussian noise, in that order; the input is c_u e(w) + sigma_u z and
+    the loss is the summed negative log-probability of the clean tokens.
+    Steps run in chunks of up to _TRAIN_CHUNK: the chunk's batches are drawn
+    step by step in the order above, then featurized in one pass, so params
+    and losses do not depend on the chunk size. Aborts with the step index
+    when the loss goes non-finite. Per-step losses are kept on the returned
+    predictor as ``loss_history``.
     """
-    vocab, length = nu.vocab, nu.length
+    vocab, length, batch = nu.vocab, nu.length, cfg.batch
+    dim = vocab * length
     # the one-hot states of every sequence are built once and indexed
     table = index_matrix(vocab, length)
     onehots = onehot(table, vocab)
     pred = TrainedPredictor.initial(vocab, length, cfg)
-    rng = derive_rng(cfg.seed, "train")
+    # the weights become views of one vector and their gradients views of one
+    # buffer, so a step's update is a single pass
+    shapes = {key: w.shape for key, w in pred.params.items()}
+    flat = np.concatenate([w.reshape(-1) for w in pred.params.values()])
+    grad = np.empty_like(flat)
+    pred.params = _split(flat, shapes)
+    g = _split(grad, shapes)
+    w2 = pred.params["w2"]
     lr = cfg.learning_rate
+    rng = derive_rng(cfg.seed, "train")
     losses = np.empty(cfg.steps)
-    rows, cols = np.arange(cfg.batch)[:, None], np.arange(length)[None, :]
-    for step in range(cfg.steps):
-        picked = nu.sample_indices(rng, cfg.batch)
-        states, toks = onehots[picked], table[picked]
-        u = rng.uniform(cfg.u_min, cfg.horizon, size=cfg.batch)
-        c = np.exp(-u)
-        sigma = np.sqrt(-np.expm1(-2.0 * u))
-        noisy = c[:, None] * states + sigma[:, None] * rng.standard_normal(states.shape)
-        feats = np.concatenate([noisy, c[:, None], sigma[:, None]], axis=1)
 
-        logits, hidden = pred._logits(feats)
-        logits = logits.reshape(cfg.batch, length, vocab)
-        lognorm = logsumexp(logits, axis=2)
-        picked = logits[rows, cols, toks]
-        loss = float((lognorm - picked).sum(axis=1).mean())
-        losses[step] = loss
-        if not math.isfinite(loss):
-            raise TrainingDiverged(step, loss)
+    chunk = max(1, min(_TRAIN_CHUNK, _TRAIN_CHUNK_BYTES // (8 * batch * (dim + 2))))
+    picked = np.empty((chunk, batch), dtype=np.intp)
+    u = np.empty((chunk, batch))
+    noise = np.empty((chunk, batch, dim))
+    feats = np.empty((chunk, batch, dim + 2))
+    # offset of logit (b, l, 0) in a step's flattened (batch, L, V) logits
+    row_base = (np.arange(batch)[:, None] * length + np.arange(length)) * vocab
+    for start in range(0, cfg.steps, chunk):
+        m = min(chunk, cfg.steps - start)
+        for j in range(m):
+            picked[j] = nu.sample_indices(rng, batch)
+            u[j] = rng.uniform(cfg.u_min, cfg.horizon, size=batch)
+            rng.standard_normal(out=noise[j])
+        c = np.exp(-u[:m])
+        sigma = np.sqrt(-np.expm1(-2.0 * u[:m]))
+        noise[:m] *= sigma[:, :, None]
+        feats[:m, :, :dim] = onehots[picked[:m]]
+        feats[:m, :, :dim] *= c[:, :, None]
+        feats[:m, :, :dim] += noise[:m]
+        feats[:m, :, dim] = c
+        feats[:m, :, dim + 1] = sigma
+        targets = row_base + table[picked[:m]]
 
-        probs = np.exp(logits - lognorm[:, :, None])
-        probs[rows, cols, toks] -= 1.0
-        dlogits = probs.reshape(cfg.batch, length * vocab) / cfg.batch
-        dw2 = dlogits.T @ hidden
-        db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ pred.params["w2"]
-        dpre = dhidden * (1.0 - hidden * hidden)
-        dw1 = dpre.T @ feats
-        db1 = dpre.sum(axis=0)
-        pred.params["w2"] -= lr * dw2
-        pred.params["b2"] -= lr * db2
-        pred.params["w1"] -= lr * dw1
-        pred.params["b1"] -= lr * db1
+        for j in range(m):
+            x, tok = feats[j], targets[j]
+            logits, hidden = pred._logits(x)
+            logits = logits.reshape(batch, length, vocab)
+            lognorm = logsumexp(logits, axis=2)
+            # the sum over the batch divided by its size is the bits .mean() gives
+            loss = float((lognorm - logits.take(tok)).sum(axis=1).sum()) / batch
+            losses[start + j] = loss
+            if not math.isfinite(loss):
+                raise TrainingDiverged(start + j, loss)
+
+            probs = logits - lognorm[:, :, None]
+            np.exp(probs, out=probs)
+            dlogits = probs.reshape(batch, dim)
+            dlogits.reshape(-1)[tok] -= 1.0
+            dlogits /= batch
+            np.matmul(dlogits.T, hidden, out=g["w2"])
+            dlogits.sum(axis=0, out=g["b2"])
+            dpre = dlogits @ w2
+            dpre *= 1.0 - hidden * hidden
+            np.matmul(dpre.T, x, out=g["w1"])
+            dpre.sum(axis=0, out=g["b1"])
+            grad *= lr
+            flat -= grad
     pred.loss_history = losses
     return pred
 

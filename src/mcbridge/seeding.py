@@ -30,7 +30,13 @@ def _tag_word(tag: str | int) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a root seed outside [0, 2**64), which would otherwise wrap onto another seed's streams."""
+    """Reject a root seed that is not an int in [0, 2**64).
+
+    A float or bool would be truncated, and an out-of-range int wrapped, onto
+    another seed's streams.
+    """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {type(seed).__name__} {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 

@@ -324,7 +324,7 @@ class TestVerify:
         assert bound["passed"], bound
 
     def test_seeded_reruns_are_byte_identical(self, tmp_path, copy_dist):
-        # the gap nodes run on helper threads; the files must not show it
+        # the gap nodes run on forked workers; the files must not show it
         cfg = _write_config(tmp_path, QUICK_VERIFY)
         names = ("checks.csv", "gap_nodes.csv", "verify_summary.json")
         runs = []

@@ -152,6 +152,11 @@ class TestMakeJoint:
         with pytest.raises(ValueError, match="alpha"):
             make_joint("dirichlet", 3, 2, seed=0, alpha=alpha)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_dirichlet_rejects_non_int_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            make_joint("dirichlet", 3, 2, seed=seed)
+
     def test_dirichlet_seeded(self):
         a = make_joint("dirichlet", 3, 2, seed=11)
         b = make_joint("dirichlet", 3, 2, seed=11)

@@ -2,8 +2,9 @@
 identity + gap checks."""
 
 import math
-import sys
+import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from mcbridge.metrics import (
     tv_noise_scale,
     unigram_entropy,
 )
+from mcbridge.samplers import StepFailed
 from mcbridge.seeding import derive_rng
 
 
@@ -264,25 +266,20 @@ class TestDenoisingGap:
         assert threading.active_count() == before
 
     def test_run_parallel_hands_out_each_index_once(self, monkeypatch):
-        # more threads than cores, switching as often as the interpreter allows
+        # task i runs on worker i mod 8, and worker 0 is the caller
         monkeypatch.setattr(metrics, "_cpu_count", lambda: 8)
-        calls = []
+        out = metrics._run_parallel(lambda i: (i, os.getpid()), 2000)
+        assert [i for i, _ in out] == list(range(2000))
+        pids = [pid for _, pid in out]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 8
+        assert all(pid == pids[i % 8] for i, pid in enumerate(pids))
+        _assert_no_children()
 
-        def square(i):
-            calls.append(i)
-            return i * i
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = metrics._run_parallel(square, 2000)
-        finally:
-            sys.setswitchinterval(interval)
-        assert out == [i * i for i in range(2000)]
-        assert sorted(calls) == list(range(2000))
-
-    def test_peak_memory_bounded(self):
-        # full-length n_mc x (L*V) arrays for every intermediate take ~19 MiB here
+    def test_peak_memory_bounded(self, monkeypatch):
+        # full-length n_mc x (L*V) arrays for every intermediate take ~19 MiB
+        # here; one CPU keeps every node in this process, where tracemalloc sees it
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 1)
         nu = make_joint("dirichlet", 4, 3, seed=0, alpha=0.8)
         tracemalloc.start()
         try:
@@ -306,3 +303,73 @@ class TestDenoisingGap:
             "interval", "t", "u", "weight", "coeff",
             "ddpm_err", "ddpm_se", "mcb_err", "mcb_se", "gap", "gap_se",
         ]
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    """Pickles, but its two-argument constructor cannot be called with the one
+    argument it is rebuilt from."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestRunParallel:
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_results_in_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
+        assert metrics._run_parallel(lambda i: (i, [i] * (i % 3)), 11) == [(i, [i] * (i % 3)) for i in range(11)]
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_child_error_reaches_caller(self, monkeypatch, cpus):
+        def fail(i):
+            if i in (1, 3):
+                raise StepFailed(i, 0.5, ValueError(f"task {i}"))
+            return i
+
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
+        with pytest.raises(StepFailed, match="task 1$") as err:
+            metrics._run_parallel(fail, 6)
+        assert (err.value.step, err.value.level) == (1, 0.5)
+        _assert_no_children()
+
+    def test_unpicklable_child_error_becomes_runtime_error(self, monkeypatch):
+        def fail(i):
+            if i == 1:
+                raise _Unpicklable("boom", i)
+            return i
+
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"_Unpicklable\('boom at 1'\)"):
+            metrics._run_parallel(fail, 4)
+        _assert_no_children()
+
+    def test_interrupted_caller_kills_and_reaps_children(self, monkeypatch):
+        def task(i):
+            if i == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            metrics._run_parallel(task, 3)
+        assert time.perf_counter() - start < 30
+        _assert_no_children()
+
+    def test_runs_in_caller_while_a_thread_is_alive(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: 4)
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        helper.start()
+        try:
+            pids = metrics._run_parallel(lambda i: os.getpid(), 8)
+        finally:
+            stop.set()
+            helper.join()
+        assert pids == [os.getpid()] * 8

@@ -2,13 +2,15 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from helpers import forward_state, rowwise_softmax
 
-from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix
-from mcbridge.oracle import posterior_marginals
+from mcbridge import predictors
+from mcbridge.discrete import encode, enumerate_sequences, index_matrix, make_joint, onehot, onehot_matrix
+from mcbridge.oracle import logsumexp, posterior_marginals
 from mcbridge.predictors import (
     TrainConfig,
     TrainedPredictor,
@@ -19,6 +21,45 @@ from mcbridge.predictors import (
     train_predictor,
 )
 from mcbridge.seeding import derive_rng
+
+
+def _reference_train(nu, cfg):
+    """(params, loss_history) of the one-step-at-a-time SGD loop that
+    ``train_predictor`` must reproduce bit for bit; raises TrainingDiverged
+    at the first non-finite loss."""
+    vocab, length = nu.vocab, nu.length
+    table = index_matrix(vocab, length)
+    onehots = onehot(table, vocab)
+    params = {k: w.copy() for k, w in TrainedPredictor.initial(vocab, length, cfg).params.items()}
+    rng = derive_rng(cfg.seed, "train")
+    lr = cfg.learning_rate
+    losses = np.empty(cfg.steps)
+    rows, cols = np.arange(cfg.batch)[:, None], np.arange(length)[None, :]
+    for step in range(cfg.steps):
+        picked = nu.sample_indices(rng, cfg.batch)
+        states, toks = onehots[picked], table[picked]
+        u = rng.uniform(cfg.u_min, cfg.horizon, size=cfg.batch)
+        c = np.exp(-u)
+        sigma = np.sqrt(-np.expm1(-2.0 * u))
+        noisy = c[:, None] * states + sigma[:, None] * rng.standard_normal(states.shape)
+        feats = np.concatenate([noisy, c[:, None], sigma[:, None]], axis=1)
+
+        hidden = np.tanh(feats @ params["w1"].T + params["b1"])
+        logits = (hidden @ params["w2"].T + params["b2"]).reshape(cfg.batch, length, vocab)
+        lognorm = logsumexp(logits, axis=2)
+        loss = float((lognorm - logits[rows, cols, toks]).sum(axis=1).mean())
+        losses[step] = loss
+        if not math.isfinite(loss):
+            raise TrainingDiverged(step, loss)
+
+        probs = np.exp(logits - lognorm[:, :, None])
+        probs[rows, cols, toks] -= 1.0
+        dlogits = probs.reshape(cfg.batch, length * vocab) / cfg.batch
+        dpre = (dlogits @ params["w2"]) * (1.0 - hidden * hidden)
+        grads = {"w2": dlogits.T @ hidden, "b2": dlogits.sum(axis=0), "w1": dpre.T @ feats, "b1": dpre.sum(axis=0)}
+        for key, g in grads.items():
+            params[key] -= lr * g
+    return params, losses
 
 
 class TestOraclePredictor:
@@ -59,6 +100,11 @@ class TestTrainConfig:
                 with pytest.raises(ValueError, match=repr(key)):
                     TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_config_rejects_non_int_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
 
 class TestTrainPredictor:
     def test_uniform_binary_prior_recovery(self):
@@ -96,12 +142,54 @@ class TestTrainPredictor:
         assert np.all(rows > 0.0)
 
     def test_divergence_reports_step(self):
-        # a learning rate near the float ceiling overflows the logits fast
+        # a learning rate near the float ceiling overflows the logits at step 2
+        self._assert_diverges_like_reference()
+
+    def test_divergence_reports_step_past_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(predictors, "_TRAIN_CHUNK", 1)
+        self._assert_diverges_like_reference()
+
+    @staticmethod
+    def _assert_diverges_like_reference():
         nu = make_joint("uniform", 2, 1)
-        with pytest.raises(TrainingDiverged) as err:
-            with np.errstate(all="ignore"):
-                train_predictor(nu, TrainConfig(steps=50, learning_rate=1e305, seed=0))
-        assert err.value.step >= 0
+        cfg = TrainConfig(steps=50, learning_rate=1e305, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train_predictor(nu, cfg)
+            with pytest.raises(TrainingDiverged) as ref:
+                _reference_train(nu, cfg)
+        assert err.value.step == ref.value.step
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("hidden", [8, 64])
+    def test_bit_identical_to_per_step_loop(self, dirichlet3x2, steps, hidden):
+        cfg = TrainConfig(steps=steps, hidden=hidden, seed=7)
+        self._assert_matches_reference(dirichlet3x2, cfg)
+
+    def test_bit_identical_at_the_cap(self):
+        nu = make_joint("dirichlet", 4, 6, seed=1, alpha=0.8)
+        self._assert_matches_reference(nu, TrainConfig(steps=65, hidden=64, seed=8))
+
+    @pytest.mark.parametrize("chunk", [1, 1000])
+    def test_bit_identical_for_any_chunk_size(self, monkeypatch, dirichlet3x2, chunk):
+        monkeypatch.setattr(predictors, "_TRAIN_CHUNK", chunk)
+        monkeypatch.setattr(predictors, "_TRAIN_CHUNK_BYTES", 1 << 40)
+        self._assert_matches_reference(dirichlet3x2, TrainConfig(steps=300, hidden=8, seed=9))
+
+    @staticmethod
+    def _assert_matches_reference(nu, cfg):
+        pred = train_predictor(nu, cfg)
+        params, losses = _reference_train(nu, cfg)
+        assert list(pred.params) == list(params)
+        for key, w in params.items():
+            np.testing.assert_array_equal(pred.params[key], w, err_msg=key)
+        np.testing.assert_array_equal(pred.loss_history, losses)
+
+    def test_diverged_pickles(self):
+        err = pickle.loads(pickle.dumps(TrainingDiverged(12, math.inf)))
+        assert type(err) is TrainingDiverged
+        assert (err.step, str(err)) == (12, "non-finite training loss inf at step 12")
 
 
 class TestTrainedForward:

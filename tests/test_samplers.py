@@ -1,6 +1,7 @@
 """Reverse samplers: step laws, chain contracts, terminal behavior."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -431,3 +432,16 @@ class TestSamplerConfig:
             SamplerConfig(grid=NoiseGrid.uniform(6.0, 4, terminal=0.1), method="mcb")
         with pytest.raises(ValueError):
             SamplerConfig(grid=grid, method="sde")
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_rejects_non_int_seed(self, seed):
+        # a float seed of 1.5 would otherwise replay seed 1's chains
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(grid=NoiseGrid.uniform(6.0, 4), method="mcb", seed=seed)
+
+
+def test_step_failed_pickles():
+    err = pickle.loads(pickle.dumps(StepFailed(3, 0.25, ValueError("rows sum to 1.2"))))
+    assert type(err) is StepFailed
+    assert (err.step, err.level) == (3, 0.25)
+    assert str(err) == "step 3 (level 0.25) failed: rows sum to 1.2"
