@@ -119,21 +119,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pred.save(out / "predictor.json")
-    rows = [{"step": i, "loss": float(v)} for i, v in enumerate(pred.loss_history)]
-    _write_csv(out / "loss_curve.csv", rows, ["step", "loss"])
-    window = max(1, len(rows) // 10)
-    first = float(np.mean(pred.loss_history[:window])) if rows else float("nan")
-    last = float(np.mean(pred.loss_history[-window:])) if rows else float("nan")
+    losses = pred.loss_history
+    # the bytes csv.DictWriter writes for {"step": i, "loss": repr(loss)} rows
+    body = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(losses.tolist()))
+    (out / "loss_curve.csv").write_text("step,loss\r\n" + body, encoding="utf-8", newline="")
+    # with no steps the summary holds nulls, not NaN, which strict JSON readers reject
+    first = last = improved = None
+    loss = ""
+    if losses.size:
+        window = max(1, losses.size // 10)
+        first, last = float(np.mean(losses[:window])), float(np.mean(losses[-window:]))
+        improved = bool(last < first)
+        loss = f" (loss {first:.4f} -> {last:.4f})"
     _write_json(
         out / "train_summary.json",
         {
             "config": pred.to_json_dict()["config"],
             "first_window_loss": first,
             "last_window_loss": last,
-            "improved": bool(last < first) if rows else None,
+            "improved": improved,
         },
     )
-    print(f"trained predictor -> {out / 'predictor.json'} (loss {first:.4f} -> {last:.4f})")
+    print(f"trained predictor -> {out / 'predictor.json'}{loss}")
     return 0
 
 

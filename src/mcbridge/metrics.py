@@ -33,6 +33,7 @@ import numpy as np
 from .discrete import JointDist, TokenSequence, checked_rows, onehot_matrix, product_table, token_index
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
+    _MC_CHUNK,
     _ROW_TOL,
     discrete_kl,
     filtered_endpoint_means,
@@ -247,11 +248,6 @@ class GapReport:
         }
 
 
-# Samples per draw chunk of a denoising-gap node. A constant, so the report
-# does not depend on the oracle's block budget or on the CPU count.
-_GAP_CHUNK = 2048
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -351,14 +347,14 @@ def _worker(fn: Callable[[int], object], tasks: range, read: int, write: int) ->
 def _gap_node(nu: JointDist, onehot: np.ndarray, u: float, u_k: float, n_mc: int, rng: np.random.Generator):
     """(ddpm_err, ddpm_se, mcb_err, mcb_se, gap, gap_se) of one quadrature node.
 
-    Draws in chunks of _GAP_CHUNK samples: per chunk the endpoint indices,
+    Draws in chunks of _MC_CHUNK samples: per chunk the endpoint indices,
     then the X_u normals, then the X_{u_k} normals.
     """
     co_u = ou_coeffs(u)
     co_d = ou_coeffs(u_k - u)
     ddpm_sq, mcb_sq = np.empty(n_mc), np.empty(n_mc)
-    for lo in range(0, n_mc, _GAP_CHUNK):
-        hi = min(lo + _GAP_CHUNK, n_mc)
+    for lo in range(0, n_mc, _MC_CHUNK):
+        hi = min(lo + _MC_CHUNK, n_mc)
         idx = nu.sample_indices(rng, hi - lo)
         x_u = rng.standard_normal((hi - lo, nu.dim))
         x_u *= co_u.sigma
@@ -400,7 +396,7 @@ def denoising_gap(
 
     One 64-bit word is taken from ``rng``; node i (counted over the nodes of
     the non-skipped intervals, in order) then draws only from
-    ``derive_rng(word, "gap-node", i)``, in chunks of _GAP_CHUNK samples: the
+    ``derive_rng(word, "gap-node", i)``, in chunks of _MC_CHUNK samples: the
     endpoint indices, the X_u normals and the X_{u_k} normals of each chunk
     in turn. The nodes run on every CPU (``_run_parallel``: the caller plus
     forked workers) and each keeps only its own chunk and two per-sample

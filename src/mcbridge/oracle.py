@@ -104,6 +104,11 @@ def _log_table(p: np.ndarray) -> np.ndarray:
 # V^L = 4096 cap it holds 64 chains.
 _BLOCK_BYTES = 2 << 20
 
+# Samples per draw chunk of verify's Monte Carlo estimators (the kernel KL
+# here, the denoising-gap nodes in ``metrics``). A constant, so their results
+# do not depend on the block budget or the CPU count.
+_MC_CHUNK = 2048
+
 # SIMD exp leaves its fast path just above -708 and runs 10x and more slower
 # below it; weights under e^_EXP_FLOOR (~1e-304) of their column maximum are
 # set to 0 instead, which moves no column sum.
@@ -445,6 +450,13 @@ def kernel_kl_estimate(
     with it. The joint posterior at (u_k, y) is built once for the draws, the
     true kernel and the bound, and its token rows once for the factorized
     kernel and the bound. Non-finite ratios are excluded and counted.
+
+    Draw order: all n endpoint uniforms in one call, then, per chunk of
+    m <= _MC_CHUNK samples, the chunk's bridge normals as one (m, L*V) call.
+    Normals drawn in consecutive calls are the values one (n, L*V) call would
+    give, and each sample's ratio depends only on its own endpoint and
+    normals, so the result and the generator's state do not depend on the
+    chunk size; only the uniforms and the n ratios are held full length.
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 samples, got {n}")
@@ -454,9 +466,14 @@ def kernel_kl_estimate(
     rows = posterior_marginals(nu, u_k, y)[0]
     a, b, var = reverse_step_coeffs(u_next, u_k)
     cdf = np.cumsum(post)
-    idx = np.minimum(np.searchsorted(cdf, rng.random(n), side="left"), post.size - 1)
-    z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
-    diff = _kernel_logdensities(nu, post, y, u_k, u_next, z) - mcb_kernel_logdensities(rows, y, u_k, u_next, z)
+    uniforms = rng.random(n)
+    diff = np.empty(n)
+    for lo in range(0, n, _MC_CHUNK):
+        hi = min(lo + _MC_CHUNK, n)
+        idx = np.minimum(np.searchsorted(cdf, uniforms[lo:hi], side="left"), post.size - 1)
+        z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((hi - lo, nu.dim))
+        diff[lo:hi] = _kernel_logdensities(nu, post, y, u_k, u_next, z)
+        diff[lo:hi] -= mcb_kernel_logdensities(rows, y, u_k, u_next, z)
     mask = np.isfinite(diff)
     flagged = int(n - mask.sum())
     if flagged:

@@ -8,6 +8,8 @@ as ground truth for them.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 
@@ -106,3 +108,14 @@ def rowwise_logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.nd
 def rowwise_softmax(x: np.ndarray) -> np.ndarray:
     """exp(x - logsumexp(x)) along the last axis, written with ``rowwise_logsumexp``."""
     return np.exp(x - rowwise_logsumexp(x, axis=-1, keepdims=True))
+
+
+def traced_peak(fn: Callable[[], object]) -> tuple[object, int]:
+    """(fn(), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

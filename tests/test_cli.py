@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -189,6 +190,32 @@ class TestTrainCommand:
         assert main(["sample", "--dist", copy_dist, "--predictor", str(pred_file), "--method", "mcb",
                      "--steps", "8", "--chains", "32", "--seed", "3", "--out", str(run)]) == 0
         assert (run / "samples.txt").exists()
+
+    @pytest.mark.parametrize("steps", [0, 1, 4000])
+    def test_loss_curve_matches_dictwriter(self, tmp_path, copy_dist, steps):
+        out = tmp_path / "train"
+        assert main(["train", "--dist", copy_dist, "--steps", str(steps), "--seed", "2", "--out", str(out)]) == 0
+        losses = train_predictor(JointDist.load(copy_dist), TrainConfig(steps=steps, seed=2)).loss_history
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=["step", "loss"])
+        writer.writeheader()
+        for i, v in enumerate(losses):
+            writer.writerow({"step": i, "loss": repr(float(v))})
+        assert (out / "loss_curve.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_summary_is_strict_json(self, tmp_path, copy_dist, steps):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        out = tmp_path / "train"
+        assert main(["train", "--dist", copy_dist, "--steps", str(steps), "--out", str(out)]) == 0
+        doc = json.loads((out / "train_summary.json").read_text(), parse_constant=reject)
+        first, last, improved = doc["first_window_loss"], doc["last_window_loss"], doc["improved"]
+        if steps == 0:
+            assert (first, last, improved) == (None, None, None)
+        else:
+            assert first == last and improved is False
 
     def test_predictor_file_round_trips(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, {"u_min": 1, "hidden": 8})

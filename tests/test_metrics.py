@@ -5,11 +5,10 @@ import math
 import os
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import forward_state
+from helpers import forward_state, traced_peak
 
 from mcbridge import metrics, oracle
 from mcbridge.discrete import TokenSequence, make_joint, onehot_matrix, product_table
@@ -281,12 +280,8 @@ class TestDenoisingGap:
         # here; one CPU keeps every node in this process, where tracemalloc sees it
         monkeypatch.setattr(metrics, "_cpu_count", lambda: 1)
         nu = make_joint("dirichlet", 4, 3, seed=0, alpha=0.8)
-        tracemalloc.start()
-        try:
-            report = denoising_gap(nu, NoiseGrid.uniform(6.0, 2), 1, 20_000, derive_rng(14, "gmem"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        grid = NoiseGrid.uniform(6.0, 2)
+        report, peak = traced_peak(lambda: denoising_gap(nu, grid, 1, 20_000, derive_rng(14, "gmem")))
         assert len(report.nodes) == 2
         assert peak <= 10 * 2**20
 

@@ -1,7 +1,6 @@
 """Brute-force posterior machinery against independent dumb oracles."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +12,7 @@ from helpers import (
     gauss_logpdf,
     rowwise_logsumexp,
     rowwise_softmax,
+    traced_peak,
 )
 
 from mcbridge import oracle
@@ -144,6 +144,11 @@ def cap_law():
     return make_joint("dirichlet", 4, 6, seed=3, alpha=0.8)  # V^L = 4096, the default cap
 
 
+@pytest.fixture(scope="module")
+def dirichlet4x3():
+    return make_joint("dirichlet", 4, 3, seed=0, alpha=0.8)
+
+
 def _forward_states(nu, t: float, n: int, rng) -> np.ndarray:
     co = ou_coeffs(t)
     return co.c * onehot_matrix(nu.vocab, nu.length)[nu.sample_indices(rng, n)] + co.sigma * rng.standard_normal((n, nu.dim))
@@ -199,12 +204,7 @@ class TestPosteriorMarginals:
         n = 4096  # one n x V^L table alone would be 128 MiB
         x = _forward_states(cap_law, t, n, derive_rng(44, "memory"))
         pred = OraclePredictor(cap_law)
-        tracemalloc.start()
-        try:
-            rows = pred.marginals_batch(x, t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(lambda: pred.marginals_batch(x, t))
         assert rows.shape == (n, 6, 4)
         assert peak < 2 * oracle._BLOCK_BYTES + rows.nbytes
 
@@ -565,11 +565,61 @@ class TestKernelKlEstimate:
     def test_peak_memory_bounded_at_the_cap(self, cap_law):
         # one dense n x V^L mixture table alone would be 312 MiB
         y = forward_state(cap_law, 1.0, derive_rng(19, "klmem"))
-        tracemalloc.start()
-        try:
-            est = kernel_kl_estimate(cap_law, y, 1.0, 0.5, 10_000, derive_rng(20, "klmem"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        est, peak = traced_peak(lambda: kernel_kl_estimate(cap_law, y, 1.0, 0.5, 10_000, derive_rng(20, "klmem")))
         assert est.n_flagged == 0
         assert peak <= 32 * 2**20
+
+    @staticmethod
+    def _one_block(nu, y, u_k, u_next, n, rng) -> tuple:
+        """(estimate, se, n_flagged, mi) with all n samples drawn and scored as one block."""
+        onehot = onehot_matrix(nu.vocab, nu.length)
+        post = joint_posterior_probs(nu, u_k, y)[0]
+        rows = posterior_marginals(nu, u_k, y)[0]
+        a, b, var = reverse_step_coeffs(u_next, u_k)
+        idx = np.minimum(np.searchsorted(np.cumsum(post), rng.random(n), side="left"), post.size - 1)
+        z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
+        diff = true_kernel_logdensities(nu, y, u_k, u_next, z) - mcb_kernel_logdensities(rows, y, u_k, u_next, z)
+        used = diff[np.isfinite(diff)]
+        se = float(used.std(ddof=1) / math.sqrt(used.size))
+        return float(used.mean()), se, n - used.size, multi_information(post, rows)
+
+    @pytest.mark.parametrize("chunk", [None, 1000, 10**6])
+    @pytest.mark.parametrize("n", [1000, 2047, 2048, 2049, 10_001])
+    @pytest.mark.parametrize("law", ["copy3x2", "dirichlet4x3", "cap_law"])
+    def test_chunked_draws_match_one_block(self, request, monkeypatch, law, n, chunk):
+        nu = request.getfixturevalue(law)
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+        y = forward_state(nu, 1.0, derive_rng(21, "klchunk", law))
+        want_rng, got_rng = derive_rng(22, "klchunk", law, n), derive_rng(22, "klchunk", law, n)
+        want = self._one_block(nu, y, 1.0, 0.5, n, want_rng)
+        assert tuple(kernel_kl_estimate(nu, y, 1.0, 0.5, n, got_rng)) == want
+        assert got_rng.random() == want_rng.random()
+
+    def test_peak_memory_flat_in_n(self, dirichlet4x3):
+        # the n endpoint uniforms and the n ratios are the only full-length arrays: 16 B a sample
+        y = forward_state(dirichlet4x3, 1.0, derive_rng(23, "klflat"))
+        peaks = [traced_peak(lambda: kernel_kl_estimate(dirichlet4x3, y, 1.0, 0.5, n, derive_rng(24, "klflat")))[1]
+                 for n in (10_000, 40_000)]
+        assert peaks[1] - peaks[0] <= 16 * 30_000 + 2**20
+
+    def test_non_finite_ratios_in_several_chunks_warn_once(self, copy3x2, monkeypatch):
+        bad = [5, 2047, 2048, 4500]  # rows in the first, second and third chunk of 5,000
+        seen = [0]
+        score = oracle.mcb_kernel_logdensities
+
+        def with_holes(rows, y, u_k, u_next, z):
+            out = score(rows, y, u_k, u_next, z)
+            lo = seen[0]
+            seen[0] += len(out)
+            out[[i - lo for i in bad if lo <= i < seen[0]]] = -math.inf
+            return out
+
+        monkeypatch.setattr(oracle, "mcb_kernel_logdensities", with_holes)
+        y = forward_state(copy3x2, 1.0, derive_rng(25, "klinf"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = kernel_kl_estimate(copy3x2, y, 1.0, 0.5, 5000, derive_rng(26, "klinf"))
+        assert seen[0] == 5000
+        assert est.n_flagged == len(bad)
+        assert [str(w.message) for w in caught] == [f"excluded {len(bad)} non-finite log-density ratios"]
