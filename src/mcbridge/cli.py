@@ -59,18 +59,6 @@ def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
-def _build_grid(kind: str, horizon: float, steps: int, sde_floor: float, method: str) -> NoiseGrid:
-    if kind not in ("fm", "uniform", "geometric"):
-        raise ValueError(f"unknown grid kind {kind!r}; expected one of ('fm', 'uniform', 'geometric')")
-    if method == "sde":
-        return NoiseGrid.uniform(horizon, steps, terminal=sde_floor)
-    if kind == "fm":
-        return NoiseGrid.fm_uniform(horizon, steps)
-    if kind == "uniform":
-        return NoiseGrid.uniform(horizon, steps)
-    return NoiseGrid.geometric(horizon, steps, floor=max(sde_floor, 1e-3))
-
-
 def _load_predictor(args: argparse.Namespace, nu: JointDist | None):
     if getattr(args, "oracle", None):
         if nu is None:
@@ -158,9 +146,27 @@ _SAMPLE_DEFAULTS = {
 
 
 def _sampler_config(opts: dict) -> SamplerConfig:
-    grid = _build_grid(opts["grid"], opts["horizon"], opts["steps"], opts["sde_floor"], opts["method"])
+    """The config of one sample command or sweep cell. The grid owns its level
+    limits and the sampler its bridge limit; only the options are named here."""
+    kind, method, horizon, steps, floor = (opts[k] for k in ("grid", "method", "horizon", "steps", "sde_floor"))
+    if kind not in ("fm", "uniform", "geometric"):
+        raise ValueError(f"unknown grid kind {kind!r}; expected one of ('fm', 'uniform', 'geometric')")
+    if steps < 1:
+        raise ValueError(f"option 'steps' must be >= 1, got {steps}")
+    try:
+        if method == "sde":
+            grid = NoiseGrid.uniform(horizon, steps, terminal=floor)
+        elif kind == "fm":
+            grid = NoiseGrid.fm_uniform(horizon, steps)
+        elif kind == "uniform":
+            grid = NoiseGrid.uniform(horizon, steps)
+        else:
+            grid = NoiseGrid.geometric(horizon, steps, floor=max(floor, 1e-3))
+    except ValueError as exc:
+        named = "options 'horizon' and 'sde_floor'" if method == "sde" or kind == "geometric" else "option 'horizon'"
+        raise ValueError(f"{named}: {exc}") from exc
     tau, p = opts["temperature"], opts["nucleus_p"]
-    return SamplerConfig(grid=grid, method=opts["method"], temperature=tau, nucleus_p=p, seed=opts["seed"])
+    return SamplerConfig(grid=grid, method=method, temperature=tau, nucleus_p=p, seed=opts["seed"])
 
 
 def _chain_count(opts: dict) -> int:
@@ -188,23 +194,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _write_json(out / "sample_summary.json", {"options": opts, "n": n})
     print(f"wrote {n} sequences -> {out / 'samples.txt'}")
     return 0
-
-
-_SWEEP_FIELDS = [
-    "method",
-    "steps",
-    "temperature",
-    "nucleus_p",
-    "chains",
-    "nll",
-    "nll_se",
-    "nll_zero_count",
-    "entropy",
-    "entropy_se",
-    "tv",
-    "tv_noise_mean",
-    "tv_noise_sd",
-]
 
 
 _SWEEP_DEFAULTS = {
@@ -263,7 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "tv_noise_sd": tv_sd,
             }
         )
-    _write_csv(out / "sweep.csv", rows, _SWEEP_FIELDS)
+    _write_csv(out / "sweep.csv", rows, list(rows[0]))
     _write_json(out / "sweep_summary.json", {"options": opts, "cells": rows})
     print(f"wrote {len(rows)} sweep cells -> {out / 'sweep.csv'}")
     return 0

@@ -63,10 +63,6 @@ class TokenSequence:
                 raise ValueError(f"token id {tok} outside vocabulary of size {self.vocab}")
 
     @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
     def index(self) -> int:
         """Big-endian index of this sequence in the enumerated space."""
         idx = 0

@@ -85,39 +85,53 @@ class TrainConfig:
         check_seed(self.seed)
 
 
+def _layout(vocab: int, length: int, hidden: int) -> tuple[list[int], dict[str, tuple[int, ...]]]:
+    """The network's widths [inputs, hidden, outputs] and its weights' shapes in storage order.
+
+    The inputs are the L*V state coordinates followed by c_u and sigma_u (see
+    ``TrainedPredictor._features``); the outputs are the L*V logits. Layer i
+    has weight w<i> of shape (widths[i], widths[i - 1]) and bias b<i>.
+    """
+    n_in, n_out = vocab * length + 2, vocab * length
+    return [n_in, hidden, n_out], {"w1": (hidden, n_in), "b1": (hidden,), "w2": (n_out, hidden), "b2": (n_out,)}
+
+
+def _split(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of consecutive slices of ``vec`` with the given shapes, in order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    return {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), np.split(vec, ends))}
+
+
 class TrainedPredictor(MarginalPredictor):
     """One-hidden-layer tanh network over (state, c_u, sigma_u) features.
 
     Outputs L*V logits reshaped to rows with a per-row softmax, so every row
-    is a strictly positive distribution even before any training.
+    is a strictly positive distribution even before any training. ``weights``
+    is one flat vector in ``_layout``'s storage order and ``params`` holds
+    its views by name, so an update of ``weights`` is an update of every layer.
     """
 
-    def __init__(self, vocab: int, length: int, params: dict[str, np.ndarray], config: TrainConfig):
+    def __init__(self, vocab: int, length: int, config: TrainConfig, weights: np.ndarray):
         self.vocab = vocab
         self.length = length
-        self.params = params
         self.config = config
+        self.weights = weights
+        self.params = _split(weights, _layout(vocab, length, config.hidden)[1])
         self.loss_history: np.ndarray = np.empty(0)
 
     @classmethod
     def initial(cls, vocab: int, length: int, config: TrainConfig) -> "TrainedPredictor":
+        """Every weight and bias of layer i uniform on +-1/sqrt(widths[i - 1]), drawn in storage order."""
         rng = derive_rng(config.seed, "init")
-        n_in = vocab * length + 2
-        n_out = vocab * length
-
-        def uniform(shape, fan_in):
-            s = 1.0 / math.sqrt(fan_in)
-            return rng.uniform(-s, s, size=shape)
-
-        params = {
-            "w1": uniform((config.hidden, n_in), n_in),
-            "b1": uniform((config.hidden,), n_in),
-            "w2": uniform((n_out, config.hidden), config.hidden),
-            "b2": uniform((n_out,), config.hidden),
-        }
-        return cls(vocab, length, params, config)
+        widths, shapes = _layout(vocab, length, config.hidden)
+        parts = []
+        for key, shape in shapes.items():
+            s = 1.0 / math.sqrt(widths[int(key[1:]) - 1])
+            parts.append(rng.uniform(-s, s, size=math.prod(shape)))
+        return cls(vocab, length, config, np.concatenate(parts))
 
     def _features(self, states: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+        """The network inputs, ``_layout``'s widths[0] columns: each state, then its c_u and sigma_u."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         u_arr = np.broadcast_to(np.asarray(u, dtype=float), (states.shape[0],))
         c = np.exp(-u_arr)
@@ -137,10 +151,8 @@ class TrainedPredictor(MarginalPredictor):
         return row_softmax(logits.reshape(-1, self.length, self.vocab))
 
     def to_json_dict(self) -> dict:
-        n_in = self.vocab * self.length + 2
-        widths = [n_in, self.config.hidden, self.vocab * self.length]
         return {
-            "widths": widths,
+            "widths": _layout(self.vocab, self.length, self.config.hidden)[0],
             "weights": {k: [float(v) for v in w.reshape(-1)] for k, w in self.params.items()},
             "config": {"vocab": self.vocab, "length": self.length, **asdict(self.config)},
         }
@@ -165,25 +177,21 @@ class TrainedPredictor(MarginalPredictor):
         if vocab < 1 or length < 1:
             raise ValueError(f"predictor config keys 'vocab' and 'length' must be >= 1, got {vocab} and {length}")
         config = TrainConfig(**cfg_doc)
-        widths = doc["widths"]
-        if len(widths) != 3:
-            raise ValueError(f"predictor key 'widths' must hold 3 integers, got {widths!r}")
-        n_in, hidden, n_out = widths
-        if n_in != vocab * length + 2 or n_out != vocab * length or hidden != config.hidden:
-            raise ValueError(f"inconsistent widths {widths} for V={vocab}, L={length}")
-        shapes = {"w1": (hidden, n_in), "b1": (hidden,), "w2": (n_out, hidden), "b2": (n_out,)}
-        params = {}
+        widths, shapes = _layout(vocab, length, config.hidden)
+        if doc["widths"] != widths:
+            raise ValueError(f"predictor key 'widths' must be {widths} for its config, got {doc['widths']!r}")
+        parts = []
         for key, shape in shapes.items():
             try:
-                flat = np.asarray(doc["weights"][key], dtype=float)
+                flat = np.asarray(doc["weights"][key], dtype=float).reshape(-1)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"predictor weight {key!r} is missing or not an array of numbers: {exc}") from exc
-            if flat.size != int(np.prod(shape)):
-                raise ValueError(f"weight {key} has {flat.size} values, expected {np.prod(shape)}")
+            if flat.size != math.prod(shape):
+                raise ValueError(f"weight {key} has {flat.size} values, expected {math.prod(shape)}")
             if not np.all(np.isfinite(flat)):
                 raise ValueError(f"weight {key} has non-finite values")
-            params[key] = flat.reshape(shape)
-        return cls(vocab, length, params, config)
+            parts.append(flat)
+        return cls(vocab, length, config, np.concatenate(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedPredictor":
@@ -202,16 +210,6 @@ _TRAIN_CHUNK = 64
 _TRAIN_CHUNK_BYTES = 1 << 20
 
 
-def _split(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Views of consecutive slices of ``vec`` with the given shapes, in order."""
-    out, lo = {}, 0
-    for key, shape in shapes.items():
-        hi = lo + math.prod(shape)
-        out[key] = vec[lo:hi].reshape(shape)
-        lo = hi
-    return out
-
-
 def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
     """Fit the marginal predictor with the denoising cross-entropy objective.
 
@@ -219,34 +217,32 @@ def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
     and Gaussian noise, in that order; the input is c_u e(w) + sigma_u z and
     the loss is the summed negative log-probability of the clean tokens.
     Steps run in chunks of up to _TRAIN_CHUNK: the chunk's batches are drawn
-    step by step in the order above, then featurized in one pass, so params
-    and losses do not depend on the chunk size. Aborts with the step index
-    when the loss goes non-finite. Per-step losses are kept on the returned
-    predictor as ``loss_history``.
+    step by step in the order above, then noised and passed through
+    ``TrainedPredictor._features``, the map sampling applies, in one pass, so
+    params and losses do not depend on the chunk size. Aborts with the step
+    index when the loss goes non-finite. Per-step losses are kept on the
+    returned predictor as ``loss_history``.
     """
     vocab, length, batch = nu.vocab, nu.length, cfg.batch
     dim = vocab * length
     # the one-hot states of every sequence are built once and indexed
     table = index_matrix(vocab, length)
     onehots = onehot(table, vocab)
+    widths, shapes = _layout(vocab, length, cfg.hidden)
     pred = TrainedPredictor.initial(vocab, length, cfg)
-    # the weights become views of one vector and their gradients views of one
-    # buffer, so a step's update is a single pass
-    shapes = {key: w.shape for key, w in pred.params.items()}
-    flat = np.concatenate([w.reshape(-1) for w in pred.params.values()])
-    grad = np.empty_like(flat)
-    pred.params = _split(flat, shapes)
+    # the gradients are views of one buffer laid out as pred.weights, so a
+    # step's update is a single pass
+    grad = np.empty_like(pred.weights)
     g = _split(grad, shapes)
     w2 = pred.params["w2"]
     lr = cfg.learning_rate
     rng = derive_rng(cfg.seed, "train")
     losses = np.empty(cfg.steps)
 
-    chunk = max(1, min(_TRAIN_CHUNK, _TRAIN_CHUNK_BYTES // (8 * batch * (dim + 2))))
+    chunk = max(1, min(_TRAIN_CHUNK, _TRAIN_CHUNK_BYTES // (8 * batch * widths[0])))
     picked = np.empty((chunk, batch), dtype=np.intp)
     u = np.empty((chunk, batch))
     noise = np.empty((chunk, batch, dim))
-    feats = np.empty((chunk, batch, dim + 2))
     # offset of logit (b, l, 0) in a step's flattened (batch, L, V) logits
     row_base = (np.arange(batch)[:, None] * length + np.arange(length)) * vocab
     for start in range(0, cfg.steps, chunk):
@@ -255,14 +251,10 @@ def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
             picked[j] = nu.sample_indices(rng, batch)
             u[j] = rng.uniform(cfg.u_min, cfg.horizon, size=batch)
             rng.standard_normal(out=noise[j])
-        c = np.exp(-u[:m])
-        sigma = np.sqrt(-np.expm1(-2.0 * u[:m]))
-        noise[:m] *= sigma[:, :, None]
-        feats[:m, :, :dim] = onehots[picked[:m]]
-        feats[:m, :, :dim] *= c[:, :, None]
-        feats[:m, :, :dim] += noise[:m]
-        feats[:m, :, dim] = c
-        feats[:m, :, dim + 1] = sigma
+        # the noised states sigma_u z + c_u e(w), in place of the noise
+        noise[:m] *= np.sqrt(-np.expm1(-2.0 * u[:m]))[:, :, None]
+        noise[:m] += onehots[picked[:m]] * np.exp(-u[:m])[:, :, None]
+        feats = pred._features(noise[:m].reshape(-1, dim), u[:m].reshape(-1)).reshape(m, batch, widths[0])
         targets = row_base + table[picked[:m]]
 
         for j in range(m):
@@ -288,7 +280,7 @@ def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
             np.matmul(dpre.T, x, out=g["w1"])
             dpre.sum(axis=0, out=g["b1"])
             grad *= lr
-            flat -= grad
+            pred.weights -= grad
     pred.loss_history = losses
     return pred
 

@@ -78,6 +78,12 @@ class SamplerConfig:
             raise ValueError(f"{self.method} needs a grid ending at 0, got {self.grid.terminal}")
         if self.method == "sde" and self.grid.terminal <= 0.0:
             raise ValueError("sde needs a grid ending at a positive floor level")
+        if self.method in ("mcb", "ddpm"):
+            # levels fall along the grid, so a bridge that takes the first step takes every step
+            try:
+                reverse_step_coeffs(self.grid.levels[1], self.grid.horizon)
+            except ValueError as exc:
+                raise ValueError(f"{self.method} cannot step from the grid's horizon: {exc}") from exc
         check_seed(self.seed)
 
 

@@ -143,6 +143,36 @@ class TestSample:
         assert "'chains'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sample", "--method", "sde", "--sde-floor", "6"], "'sde_floor'"),
+            (["sample", "--grid", "geometric", "--sde-floor", "10"], "'sde_floor'"),
+            (["sample", "--horizon", "0"], "'horizon'"),
+            (["sample", "--steps", "0"], "'steps'"),
+            (["sample", "--horizon", "800"], "horizon"),
+            (["sample", "--method", "ddpm", "--horizon", "800"], "horizon"),
+            (["sweep", "--horizon", "800"], "horizon"),
+            (["sweep", "--grid", "geometric", "--sde-floor", "10"], "'sde_floor'"),
+            (["sweep", "--horizon", "0"], "'horizon'"),
+        ],
+        ids=["sde-floor-at-horizon", "geometric-floor-past-horizon", "zero-horizon", "zero-steps",
+             "mcb-past-bridge-limit", "ddpm-past-bridge-limit", "sweep-past-bridge-limit",
+             "sweep-geometric-floor", "sweep-zero-horizon"],
+    )
+    def test_bad_grid_exits_2_naming_the_option(self, tmp_path, copy_dist, capsys, argv, named):
+        out = tmp_path / "r"
+        assert main(argv + ["--dist", copy_dist, "--oracle", "--chains", "4", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["ode", "sde"])
+    def test_horizon_past_the_bridge_limit_runs_without_a_bridge(self, tmp_path, copy_dist, method):
+        out = tmp_path / "r"
+        assert main(["sample", "--dist", copy_dist, "--oracle", "--method", method, "--horizon", "800",
+                     "--steps", "8", "--chains", "4", "--out", str(out)]) == 0
+        assert len((out / "samples.txt").read_text().splitlines()) == 4
+
     def test_requires_predictor_source(self, tmp_path, copy_dist):
         code = main(["sample", "--dist", copy_dist, "--method", "mcb", "--out", str(tmp_path / "r")])
         assert code == 2

@@ -186,6 +186,22 @@ class TestTrainPredictor:
             np.testing.assert_array_equal(pred.params[key], w, err_msg=key)
         np.testing.assert_array_equal(pred.loss_history, losses)
 
+    def test_trains_on_the_sampling_feature_map(self, monkeypatch, dirichlet3x2):
+        # training reads its inputs through the map marginals_batch applies, so
+        # shifting that map's sigma_u column changes the trained weights
+        cfg = TrainConfig(steps=5, hidden=8, seed=7)
+        plain = train_predictor(dirichlet3x2, cfg)
+        features = TrainedPredictor._features
+
+        def shifted(self, states, u):
+            feats = features(self, states, u)
+            feats[:, -1] += 0.5
+            return feats
+
+        monkeypatch.setattr(TrainedPredictor, "_features", shifted)
+        got = train_predictor(dirichlet3x2, cfg).params
+        assert any(not np.array_equal(got[key], w) for key, w in plain.params.items())
+
     def test_diverged_pickles(self):
         err = pickle.loads(pickle.dumps(TrainingDiverged(12, math.inf)))
         assert type(err) is TrainingDiverged

@@ -433,6 +433,13 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(grid=grid, method="sde")
 
+    @pytest.mark.parametrize("method", ["mcb", "ddpm"])
+    def test_rejects_a_horizon_the_bridge_cannot_step(self, method):
+        with pytest.raises(ValueError, match="horizon: u_k=800.0"):
+            SamplerConfig(grid=NoiseGrid.fm_uniform(800.0, 4), method=method)
+        SamplerConfig(grid=NoiseGrid.fm_uniform(700.0, 4), method=method)
+        SamplerConfig(grid=NoiseGrid.fm_uniform(800.0, 4), method="ode")
+
     @pytest.mark.parametrize("seed", [True, 1.5, "1"])
     def test_rejects_non_int_seed(self, seed):
         # a float seed of 1.5 would otherwise replay seed 1's chains
