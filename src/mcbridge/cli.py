@@ -31,20 +31,39 @@ from .metrics import (
     unigram_entropy,
     unigram_entropy_se,
 )
-from .oracle import kernel_kl_estimate
+from .oracle import _MC_MIN, kernel_kl_estimate
 from .predictors import OraclePredictor, TrainConfig, TrainedPredictor, train_predictor
 from .samplers import SamplerConfig, batch_sample
 from .seeding import check_seed, derive_rng
 
 
-def _merged(defaults: dict, args: argparse.Namespace) -> dict:
+def _merged(defaults: dict, args: argparse.Namespace, bounds: dict | None = None) -> dict:
     """defaults <- --config file values <- explicitly passed flags, each checked and
-    converted to its default's type by ``checked_keys``."""
+    converted to its default's type by ``checked_keys``. A list option must be
+    nonempty, and each value of a key in ``bounds`` ({key: (op, limit)}, op
+    ``">"`` or ``">="``) must lie past its limit."""
     config = parse_json(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     flags = {key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None}
-    return {**defaults, **checked_keys(defaults, {**config, **flags}, "option")}
+    opts = {**defaults, **checked_keys(defaults, {**config, **flags}, "option")}
+    for key, default in defaults.items():
+        if isinstance(default, list) and not opts[key]:
+            raise ValueError(f"option {key!r} must be nonempty")
+    for key, (op, limit) in (bounds or {}).items():
+        values = opts[key] if isinstance(opts[key], list) else [opts[key]]
+        if not all(v > limit if op == ">" else v >= limit for v in values):
+            raise ValueError(f"option {key!r} must be {op} {limit}, got {opts[key]!r}")
+    return opts
+
+
+def _named(keys: tuple, build, *args):
+    """``build(*args)``, with a ValueError it raises prefixed by the options in ``keys``:
+    the rules that tie options together stay with the objects that own them."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"option{'s' * (len(keys) > 1)} {' and '.join(map(repr, keys))}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -143,6 +162,7 @@ _SAMPLE_DEFAULTS = {
     "chains": 1024,
     "seed": 0,
 }
+_SAMPLE_BOUNDS = {"steps": (">=", 1), "chains": (">=", 1), "sde_floor": (">", 0.0)}
 
 
 def _sampler_config(opts: dict) -> SamplerConfig:
@@ -151,37 +171,22 @@ def _sampler_config(opts: dict) -> SamplerConfig:
     kind, method, horizon, steps, floor = (opts[k] for k in ("grid", "method", "horizon", "steps", "sde_floor"))
     if kind not in ("fm", "uniform", "geometric"):
         raise ValueError(f"unknown grid kind {kind!r}; expected one of ('fm', 'uniform', 'geometric')")
-    if steps < 1:
-        raise ValueError(f"option 'steps' must be >= 1, got {steps}")
-    try:
-        if method == "sde":
-            grid = NoiseGrid.uniform(horizon, steps, terminal=floor)
-        elif kind == "fm":
-            grid = NoiseGrid.fm_uniform(horizon, steps)
-        elif kind == "uniform":
-            grid = NoiseGrid.uniform(horizon, steps)
-        else:
-            grid = NoiseGrid.geometric(horizon, steps, floor=max(floor, 1e-3))
-    except ValueError as exc:
-        named = "options 'horizon' and 'sde_floor'" if method == "sde" or kind == "geometric" else "option 'horizon'"
-        raise ValueError(f"{named}: {exc}") from exc
+    if method == "sde":
+        grid = _named(("horizon", "sde_floor"), NoiseGrid.uniform, horizon, steps, floor)
+    elif kind == "geometric":
+        grid = _named(("horizon", "sde_floor"), NoiseGrid.geometric, horizon, steps, floor)
+    else:
+        grid = _named(("horizon",), NoiseGrid.fm_uniform if kind == "fm" else NoiseGrid.uniform, horizon, steps)
     tau, p = opts["temperature"], opts["nucleus_p"]
     return SamplerConfig(grid=grid, method=method, temperature=tau, nucleus_p=p, seed=opts["seed"])
 
 
-def _chain_count(opts: dict) -> int:
-    n = opts["chains"]
-    if n < 1:
-        raise ValueError(f"option 'chains' must be >= 1, got {n}")
-    return n
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
-    opts = _merged(_SAMPLE_DEFAULTS, args)
+    opts = _merged(_SAMPLE_DEFAULTS, args, _SAMPLE_BOUNDS)
     nu = JointDist.load(args.dist) if args.dist else None
     pred = _load_predictor(args, nu)
     cfg = _sampler_config(opts)
-    n = _chain_count(opts)
+    n = opts["chains"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     steps = [] if args.trace else None
@@ -207,16 +212,14 @@ _SWEEP_DEFAULTS = {
     "chains": 4096,
     "seed": 0,
 }
+_SWEEP_BOUNDS = {"steps_list": (">=", 1), "chains": (">=", 1), "sde_floor": (">", 0.0)}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _merged(_SWEEP_DEFAULTS, args)
-    for key in ("methods", "steps_list", "temperatures", "nucleus_list"):
-        if not opts[key]:
-            raise ValueError(f"sweep list {key!r} must be nonempty")
+    opts = _merged(_SWEEP_DEFAULTS, args, _SWEEP_BOUNDS)
     nu = JointDist.load(args.dist)
     pred = _load_predictor(args, nu)
-    n = _chain_count(opts)
+    n = opts["chains"]
     # every cell's config is built, and so checked, before anything is written
     cells = []
     for method in opts["methods"]:
@@ -276,49 +279,23 @@ _VERIFY_DEFAULTS = {
     "bound_sigma": 3.0,
     "gap_sigma": 3.0,
 }
-
-
-# Least value of each verify count; the sample counts are the estimators' own minimums.
-_VERIFY_COUNTS = {
-    "states_per_level": 1,
-    "moment_trials": 1,
-    "bound_instances": 1,
-    "bound_n_mc": 1000,
-    "gap_steps": 1,
-    "gap_nodes": 1,
-    "gap_n_mc": 1000,
+# Each bound rejects an option under which a check would pass without testing
+# anything; the sample counts are the estimators' own minimum. A tolerance of 0
+# is kept: it makes its check fail, which is not vacuous.
+_VERIFY_BOUNDS = {
+    "levels": (">", 0.0),
+    "states_per_level": (">=", 1),
+    "moment_trials": (">=", 1),
+    "bound_instances": (">=", 1),
+    "bound_n_mc": (">=", _MC_MIN),
+    "gap_steps": (">=", 1),
+    "gap_nodes": (">=", 1),
+    "gap_n_mc": (">=", _MC_MIN),
+    "identity_tol": (">=", 0.0),
+    "moment_tol": (">=", 0.0),
+    "bound_sigma": (">", 0.0),
+    "gap_sigma": (">", 0.0),
 }
-
-
-def _check_verify_options(opts: dict) -> None:
-    """Reject options under which a check would pass without testing anything,
-    or that a later check would reject only after the earlier ones ran.
-
-    ``_merged`` has already rejected every non-finite float. A tolerance of 0 is
-    kept: it makes its check fail, which is not vacuous.
-    """
-    for key, least in _VERIFY_COUNTS.items():
-        if opts[key] < least:
-            raise ValueError(f"verify option {key!r} must be >= {least}, got {opts[key]!r}")
-    if not opts["levels"]:
-        raise ValueError("verify option 'levels' must be nonempty")
-    positive = {"levels": opts["levels"], "bound_sigma": [opts["bound_sigma"]], "gap_sigma": [opts["gap_sigma"]]}
-    for key, values in positive.items():
-        if not all(v > 0.0 for v in values):
-            raise ValueError(f"verify option {key!r} must be > 0, got {opts[key]!r}")
-    for key in ("identity_tol", "moment_tol"):
-        if not opts[key] >= 0.0:
-            raise ValueError(f"verify option {key!r} must be >= 0, got {opts[key]!r}")
-    check_seed(opts["seed"])
-    # the kernel and the grid own their level limits; only the keys are named here
-    try:
-        reverse_step_coeffs(opts["bound_u_next"], opts["bound_u_k"])
-    except ValueError as exc:
-        raise ValueError(f"verify options 'bound_u_next' and 'bound_u_k': {exc}") from exc
-    try:
-        NoiseGrid.uniform(opts["horizon"], opts["gap_steps"])
-    except ValueError as exc:
-        raise ValueError(f"verify option 'horizon': {exc}") from exc
 
 
 # verify's four checks, which acceptance criteria 1-4 also run; each returns its checks.csv record.
@@ -380,8 +357,12 @@ def check_gap(nu: JointDist, opts: dict, rng: np.random.Generator) -> tuple[dict
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merged(_VERIFY_DEFAULTS, args)
-    _check_verify_options(opts)
+    opts = _merged(_VERIFY_DEFAULTS, args, _VERIFY_BOUNDS)
+    check_seed(opts["seed"])
+    # the kernel and the grid own the rules that tie options together, and are
+    # run here so that they fail before the first check does
+    _named(("bound_u_next", "bound_u_k"), reverse_step_coeffs, opts["bound_u_next"], opts["bound_u_k"])
+    _named(("horizon",), NoiseGrid.uniform, opts["horizon"], opts["gap_steps"])
     nu = JointDist.load(args.dist)
     seed = opts["seed"]
     checks = [

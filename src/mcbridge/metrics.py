@@ -34,6 +34,7 @@ from .discrete import JointDist, TokenSequence, checked_rows, onehot_matrix, pro
 from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     _MC_CHUNK,
+    _MC_MIN,
     _ROW_TOL,
     discrete_kl,
     filtered_endpoint_means,
@@ -404,8 +405,8 @@ def denoising_gap(
     not on the oracle's block budget or the CPU count, and transient memory
     does not grow with the node count.
     """
-    if n_mc < 1000:
-        raise ValueError(f"need n_mc >= 1000, got {n_mc}")
+    if n_mc < _MC_MIN:
+        raise ValueError(f"need n_mc >= {_MC_MIN}, got {n_mc}")
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
     onehot = onehot_matrix(nu.vocab, nu.length)

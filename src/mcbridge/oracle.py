@@ -109,6 +109,9 @@ _BLOCK_BYTES = 2 << 20
 # do not depend on the block budget or the CPU count.
 _MC_CHUNK = 2048
 
+# Least sample count of the same two estimators (and of verify's options).
+_MC_MIN = 1000
+
 # SIMD exp leaves its fast path just above -708 and runs 10x and more slower
 # below it; weights under e^_EXP_FLOOR (~1e-304) of their column maximum are
 # set to 0 instead, which moves no column sum.
@@ -458,8 +461,8 @@ def kernel_kl_estimate(
     normals, so the result and the generator's state do not depend on the
     chunk size; only the uniforms and the n ratios are held full length.
     """
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 samples, got {n}")
+    if n < _MC_MIN:
+        raise ValueError(f"need n >= {_MC_MIN} samples, got {n}")
     y = np.asarray(y, dtype=float)
     onehot = onehot_matrix(nu.vocab, nu.length)
     post = joint_posterior_probs(nu, u_k, y)[0]

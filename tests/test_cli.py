@@ -155,10 +155,16 @@ class TestSample:
             (["sweep", "--horizon", "800"], "horizon"),
             (["sweep", "--grid", "geometric", "--sde-floor", "10"], "'sde_floor'"),
             (["sweep", "--horizon", "0"], "'horizon'"),
+            (["sample", "--method", "sde", "--sde-floor", "0"], "'sde_floor'"),
+            (["sample", "--grid", "geometric", "--sde-floor", "-1"], "'sde_floor'"),
+            (["sample", "--grid", "geometric", "--sde-floor", "0"], "'sde_floor'"),
+            (["sweep", "--grid", "geometric", "--sde-floor", "-1"], "'sde_floor'"),
+            (["sweep", "--grid", "geometric", "--sde-floor", "0"], "'sde_floor'"),
         ],
         ids=["sde-floor-at-horizon", "geometric-floor-past-horizon", "zero-horizon", "zero-steps",
              "mcb-past-bridge-limit", "ddpm-past-bridge-limit", "sweep-past-bridge-limit",
-             "sweep-geometric-floor", "sweep-zero-horizon"],
+             "sweep-geometric-floor", "sweep-zero-horizon", "sde-zero-floor", "geometric-negative-floor",
+             "geometric-zero-floor", "sweep-geometric-negative-floor", "sweep-geometric-zero-floor"],
     )
     def test_bad_grid_exits_2_naming_the_option(self, tmp_path, copy_dist, capsys, argv, named):
         out = tmp_path / "r"
@@ -190,6 +196,10 @@ class TestSample:
         assert main(["sample", "--dist", copy_dist, "--oracle", "--method", "mcb",
                      "--grid", "geometric", "--steps", "8", "--chains", "8",
                      "--seed", "2", "--out", str(out)]) == 0
+
+    def test_geometric_grid_steps_down_to_the_given_floor(self):
+        cfg = cli._sampler_config({**cli._SAMPLE_DEFAULTS, "grid": "geometric", "sde_floor": 1e-4})
+        assert cfg.grid.levels[-2:] == (1e-4, 0.0)
 
     def test_deterministic_outputs(self, tmp_path, copy_dist):
         outs = []
@@ -336,14 +346,16 @@ class TestSweep:
                 float(row["nll"]), float(row["tv"])  # parse back
 
     @pytest.mark.parametrize(
-        "doc",
-        [{"steps_list": [4, 0]}, {"temperatures": [1.0, -1.0]}, {"methods": ["mcb", "bogus"]}],
+        "doc, named",
+        [({"steps_list": [4, 0]}, "'steps_list'"), ({"temperatures": [1.0, -1.0]}, "temperature"),
+         ({"methods": ["mcb", "bogus"]}, "'bogus'")],
         ids=["zero-steps", "negative-temperature", "unknown-method"],
     )
-    def test_bad_cell_exits_2_before_writing(self, tmp_path, copy_dist, doc):
+    def test_bad_cell_exits_2_before_writing(self, tmp_path, copy_dist, capsys, doc, named):
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "sweep"
         assert main(["sweep", "--dist", copy_dist, "--oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
 
