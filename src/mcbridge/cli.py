@@ -37,11 +37,14 @@ from .samplers import SamplerConfig, batch_sample
 from .seeding import check_seed, derive_rng
 
 
-def _merged(defaults: dict, args: argparse.Namespace, bounds: dict | None = None) -> dict:
+_PASSES = {">": lambda v, limit: v > limit, ">=": lambda v, limit: v >= limit, "<=": lambda v, limit: v <= limit}
+
+
+def _merged(defaults: dict, args: argparse.Namespace, bounds: tuple = ()) -> dict:
     """defaults <- --config file values <- explicitly passed flags, each checked and
     converted to its default's type by ``checked_keys``. A list option must be
-    nonempty, and each value of a key in ``bounds`` ({key: (op, limit)}, op
-    ``">"`` or ``">="``) must lie past its limit."""
+    nonempty, and each value of a key in ``bounds`` ((key, op, limit) rules, op
+    ``">"``, ``">="`` or ``"<="``) must pass every rule of that key."""
     config = parse_json(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
@@ -50,10 +53,10 @@ def _merged(defaults: dict, args: argparse.Namespace, bounds: dict | None = None
     for key, default in defaults.items():
         if isinstance(default, list) and not opts[key]:
             raise ValueError(f"option {key!r} must be nonempty")
-    for key, (op, limit) in (bounds or {}).items():
-        values = opts[key] if isinstance(opts[key], list) else [opts[key]]
-        if not all(v > limit if op == ">" else v >= limit for v in values):
-            raise ValueError(f"option {key!r} must be {op} {limit}, got {opts[key]!r}")
+    for key, op, limit in bounds:
+        for v in opts[key] if isinstance(opts[key], list) else [opts[key]]:
+            if not _PASSES[op](v, limit):
+                raise ValueError(f"option {key!r} must be {op} {limit}, got {v!r}")
     return opts
 
 
@@ -162,7 +165,10 @@ _SAMPLE_DEFAULTS = {
     "chains": 1024,
     "seed": 0,
 }
-_SAMPLE_BOUNDS = {"steps": (">=", 1), "chains": (">=", 1), "sde_floor": (">", 0.0)}
+_SAMPLE_BOUNDS = (
+    ("steps", ">=", 1), ("chains", ">=", 1), ("sde_floor", ">", 0.0),
+    ("temperature", ">", 0.0), ("nucleus_p", ">", 0.0), ("nucleus_p", "<=", 1.0),
+)
 
 
 def _sampler_config(opts: dict) -> SamplerConfig:
@@ -212,7 +218,10 @@ _SWEEP_DEFAULTS = {
     "chains": 4096,
     "seed": 0,
 }
-_SWEEP_BOUNDS = {"steps_list": (">=", 1), "chains": (">=", 1), "sde_floor": (">", 0.0)}
+_SWEEP_BOUNDS = (
+    ("steps_list", ">=", 1), ("chains", ">=", 1), ("sde_floor", ">", 0.0),
+    ("temperatures", ">", 0.0), ("nucleus_list", ">", 0.0), ("nucleus_list", "<=", 1.0),
+)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -282,20 +291,12 @@ _VERIFY_DEFAULTS = {
 # Each bound rejects an option under which a check would pass without testing
 # anything; the sample counts are the estimators' own minimum. A tolerance of 0
 # is kept: it makes its check fail, which is not vacuous.
-_VERIFY_BOUNDS = {
-    "levels": (">", 0.0),
-    "states_per_level": (">=", 1),
-    "moment_trials": (">=", 1),
-    "bound_instances": (">=", 1),
-    "bound_n_mc": (">=", _MC_MIN),
-    "gap_steps": (">=", 1),
-    "gap_nodes": (">=", 1),
-    "gap_n_mc": (">=", _MC_MIN),
-    "identity_tol": (">=", 0.0),
-    "moment_tol": (">=", 0.0),
-    "bound_sigma": (">", 0.0),
-    "gap_sigma": (">", 0.0),
-}
+_VERIFY_BOUNDS = (
+    ("levels", ">", 0.0), ("states_per_level", ">=", 1), ("moment_trials", ">=", 1),
+    ("bound_instances", ">=", 1), ("bound_n_mc", ">=", _MC_MIN), ("gap_steps", ">=", 1),
+    ("gap_nodes", ">=", 1), ("gap_n_mc", ">=", _MC_MIN), ("identity_tol", ">=", 0.0),
+    ("moment_tol", ">=", 0.0), ("bound_sigma", ">", 0.0), ("gap_sigma", ">", 0.0),
+)
 
 
 # verify's four checks, which acceptance criteria 1-4 also run; each returns its checks.csv record.
@@ -359,10 +360,11 @@ def check_gap(nu: JointDist, opts: dict, rng: np.random.Generator) -> tuple[dict
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _merged(_VERIFY_DEFAULTS, args, _VERIFY_BOUNDS)
     check_seed(opts["seed"])
-    # the kernel and the grid own the rules that tie options together, and are
-    # run here so that they fail before the first check does
+    # the bridge kernel owns the rules that tie options together (the gap's
+    # grid bridges down from its horizon), and is run here so that they fail
+    # before the first check does
     _named(("bound_u_next", "bound_u_k"), reverse_step_coeffs, opts["bound_u_next"], opts["bound_u_k"])
-    _named(("horizon",), NoiseGrid.uniform, opts["horizon"], opts["gap_steps"])
+    _named(("horizon",), reverse_step_coeffs, 0.0, opts["horizon"])
     nu = JointDist.load(args.dist)
     seed = opts["seed"]
     checks = [

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .discrete import JointDist, TokenSequence, checked_rows, onehot_matrix, product_table, token_index
-from .kernels import NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
+from .kernels import _MAX_BRIDGE_LEVEL, NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     _MC_CHUNK,
     _MC_MIN,
@@ -409,6 +409,8 @@ def denoising_gap(
         raise ValueError(f"need n_mc >= {_MC_MIN}, got {n_mc}")
     if nodes_per_interval < 1:
         raise ValueError("nodes_per_interval must be >= 1")
+    if grid.horizon > _MAX_BRIDGE_LEVEL:
+        raise ValueError(f"grid horizon {grid.horizon} exceeds {_MAX_BRIDGE_LEVEL}; the filtered means overflow there")
     onehot = onehot_matrix(nu.vocab, nu.length)
     horizon = grid.horizon
     report = GapReport(n_mc=n_mc)

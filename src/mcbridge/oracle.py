@@ -36,62 +36,32 @@ class DegeneratePosteriorError(RuntimeError):
     """The posterior cannot be normalized: its logits overflow float64."""
 
 
-def _pairwise_sum(t: np.ndarray) -> np.ndarray:
-    """Column sums of a (V, n) array, added in numpy's order for a contiguous row.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, shifted by each row's finite maximum.
 
-    That order is a running sum below 8 terms; up to 128 terms, eight
-    interleaved running sums joined as a tree, then the remainder; beyond,
-    the two halves (the first a multiple of 8 long) summed apart. Each step
-    adds whole rows, so every column equals ``np.sum`` of its values bit for bit.
+    An all -inf row gives -inf (no warning); a +inf entry gives +inf. The
+    rows are copied vocabulary-major, so the max, the shift and the exp are V
+    elementwise passes over contiguous rows rather than short reductions per
+    row. Below 8 terms those rows are added in turn, numpy's running-sum
+    order; from 8 on numpy sums a contiguous copy of each row itself. Either
+    way every value has the bits ``np.sum`` along the last axis gives.
     """
-    m = len(t)
-    if m < 8:
-        return t.sum(axis=0)
-    if m <= 128:
-        k = m - m % 8
-        r = t[:k].reshape(k // 8, 8, t.shape[1]).sum(axis=0)
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in t[k:]:
-            out += row
-        return out
-    half = m // 2 - (m // 2) % 8
-    return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
-
-
-def _columns_logsumexp(t: np.ndarray) -> np.ndarray:
-    """log-sum-exp down each column of a (V, n) array; overwrites ``t``."""
+    a = np.asarray(a, dtype=float)
+    t = a.reshape(-1, a.shape[-1]).T.copy()
     shift = t.max(axis=0)
     shift[~np.isfinite(shift)] = 0.0
     t -= shift
     np.exp(t, out=t)
+    total = t.sum(axis=0) if len(t) < 8 else np.ascontiguousarray(t.T).sum(axis=1)
     with np.errstate(divide="ignore"):
-        out = np.log(_pairwise_sum(t))
+        out = np.log(total)
     out += shift
-    return out
-
-
-def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, shifted by the finite maximum.
-
-    An all -inf slice gives -inf (no warning); a +inf entry gives +inf.
-    The reduced axis is copied to the front (vocabulary-major), so the max
-    and the sum are V elementwise passes over contiguous rows rather than
-    short reductions per slice; the sum keeps numpy's order, so a reduction
-    over the last axis gives the same bits as ``np.sum`` along it would.
-    """
-    a = np.asarray(a, dtype=float)
-    if axis is None:
-        out = _columns_logsumexp(a.reshape(-1, 1).copy())
-        return out.reshape((1,) * a.ndim if keepdims else ())
-    rows = a.swapaxes(axis, -1)
-    out = _columns_logsumexp(rows.reshape(-1, rows.shape[-1]).T.copy())
-    out = out.reshape(rows.shape[:-1] + (1,)).swapaxes(axis, -1)
-    return out if keepdims else out.squeeze(axis)
+    return out.reshape(a.shape[:-1])
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
     """exp(x - logsumexp(x)) along the last axis: every row normalized to sum to 1."""
-    out = x - logsumexp(x, axis=-1, keepdims=True)
+    out = x - logsumexp(x)[..., None]
     return np.exp(out, out=out)
 
 
@@ -426,7 +396,7 @@ def mcb_kernel_logdensities(rows: np.ndarray, y: np.ndarray, u_k: float, u_next:
     r = (z - b * y[None, :]).reshape(-1, length, vocab)
     sq = (r * r).sum(axis=2, keepdims=True) - 2.0 * a * r + a * a
     logits = logm[None, :, :] - sq / (2.0 * var)
-    per_block = logsumexp(logits, axis=2) - 0.5 * vocab * math.log(2.0 * math.pi * var)
+    per_block = logsumexp(logits) - 0.5 * vocab * math.log(2.0 * math.pi * var)
     return per_block.sum(axis=1)
 
 

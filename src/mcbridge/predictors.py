@@ -261,7 +261,7 @@ def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
             x, tok = feats[j], targets[j]
             logits, hidden = pred._logits(x)
             logits = logits.reshape(batch, length, vocab)
-            lognorm = logsumexp(logits, axis=2)
+            lognorm = logsumexp(logits)
             # the sum over the batch divided by its size is the bits .mean() gives
             loss = float((lognorm - logits.take(tok)).sum(axis=1).sum()) / batch
             losses[start + j] = loss
@@ -287,8 +287,8 @@ def train_predictor(nu: JointDist, cfg: TrainConfig) -> TrainedPredictor:
 
 def temperature_rows(rows: np.ndarray, tau: float) -> np.ndarray:
     """Raise rows to the power 1/tau and renormalize (argmax-preserving)."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {tau!r}")
     rows = np.asarray(rows, dtype=float)
     if tau == 1.0:
         return rows.copy()

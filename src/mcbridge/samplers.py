@@ -73,7 +73,7 @@ class SamplerConfig:
         if not 0.0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
         if not 0.0 < self.nucleus_p <= 1.0:
-            raise ValueError("nucleus_p must lie in (0, 1]")
+            raise ValueError(f"nucleus_p must lie in (0, 1], got {self.nucleus_p!r}")
         if self.method in ("mcb", "ddpm", "ode") and self.grid.terminal != 0.0:
             raise ValueError(f"{self.method} needs a grid ending at 0, got {self.grid.terminal}")
         if self.method == "sde" and self.grid.terminal <= 0.0:

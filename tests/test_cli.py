@@ -160,11 +160,15 @@ class TestSample:
             (["sample", "--grid", "geometric", "--sde-floor", "0"], "'sde_floor'"),
             (["sweep", "--grid", "geometric", "--sde-floor", "-1"], "'sde_floor'"),
             (["sweep", "--grid", "geometric", "--sde-floor", "0"], "'sde_floor'"),
+            (["sample", "--nucleus-p", "1.5"], "'nucleus_p' must be <= 1.0, got 1.5"),
+            (["sample", "--nucleus-p", "0"], "'nucleus_p' must be > 0.0, got 0.0"),
+            (["sample", "--temperature", "-2"], "'temperature' must be > 0.0, got -2.0"),
         ],
         ids=["sde-floor-at-horizon", "geometric-floor-past-horizon", "zero-horizon", "zero-steps",
              "mcb-past-bridge-limit", "ddpm-past-bridge-limit", "sweep-past-bridge-limit",
              "sweep-geometric-floor", "sweep-zero-horizon", "sde-zero-floor", "geometric-negative-floor",
-             "geometric-zero-floor", "sweep-geometric-negative-floor", "sweep-geometric-zero-floor"],
+             "geometric-zero-floor", "sweep-geometric-negative-floor", "sweep-geometric-zero-floor",
+             "nucleus-above-one", "zero-nucleus", "negative-temperature"],
     )
     def test_bad_grid_exits_2_naming_the_option(self, tmp_path, copy_dist, capsys, argv, named):
         out = tmp_path / "r"
@@ -348,8 +352,11 @@ class TestSweep:
     @pytest.mark.parametrize(
         "doc, named",
         [({"steps_list": [4, 0]}, "'steps_list'"), ({"temperatures": [1.0, -1.0]}, "temperature"),
-         ({"methods": ["mcb", "bogus"]}, "'bogus'")],
-        ids=["zero-steps", "negative-temperature", "unknown-method"],
+         ({"methods": ["mcb", "bogus"]}, "'bogus'"), ({"temperatures": [1.0, -2.0]}, "'temperatures' must be > 0.0, got -2.0"),
+         ({"nucleus_list": [1.0, 0.0]}, "'nucleus_list' must be > 0.0, got 0.0"),
+         ({"nucleus_list": [1.5]}, "'nucleus_list' must be <= 1.0, got 1.5")],
+        ids=["zero-steps", "negative-temperature", "unknown-method", "negative-temperature-named",
+             "zero-nucleus", "nucleus-above-one"],
     )
     def test_bad_cell_exits_2_before_writing(self, tmp_path, copy_dist, capsys, doc, named):
         cfg = _write_config(tmp_path, doc)
@@ -470,6 +477,7 @@ class TestVerify:
             ({"bound_u_next": -0.5}, "bound_u_next"),
             ({"bound_u_k": 800.0}, "bound_u_k"),
             ({"horizon": -1.0}, "horizon"),
+            ({"horizon": 800.0}, "horizon"),
         ],
     )
     def test_vacuous_option_exits_2_naming_key(self, tmp_path, copy_dist, capsys, patch, key):

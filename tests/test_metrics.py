@@ -289,6 +289,13 @@ class TestDenoisingGap:
         with pytest.raises(ValueError):
             denoising_gap(copy3x2, NoiseGrid.uniform(6.0, 2), 3, 10, derive_rng(0, "x"))
 
+    def test_rejects_horizon_past_the_bridge_limit(self, copy3x2):
+        # the filtered means overflow past the limit; the limit itself runs
+        with pytest.raises(ValueError, match="800.0 exceeds 700.0"):
+            denoising_gap(copy3x2, NoiseGrid.uniform(800.0, 2), 1, 1000, derive_rng(0, "x"))
+        report = denoising_gap(copy3x2, NoiseGrid.uniform(700.0, 1), 1, 1000, derive_rng(0, "x"))
+        assert len(report.nodes) == 1 and math.isfinite(report.total_gap)
+
     def test_csv_rows_schema(self, copy3x2):
         rng = derive_rng(12, "g4")
         report = denoising_gap(copy3x2, NoiseGrid.uniform(6.0, 2), 2, 1000, rng)

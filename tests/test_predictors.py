@@ -46,7 +46,7 @@ def _reference_train(nu, cfg):
 
         hidden = np.tanh(feats @ params["w1"].T + params["b1"])
         logits = (hidden @ params["w2"].T + params["b2"]).reshape(cfg.batch, length, vocab)
-        lognorm = logsumexp(logits, axis=2)
+        lognorm = logsumexp(logits)
         loss = float((lognorm - logits[rows, cols, toks]).sum(axis=1).mean())
         losses[step] = loss
         if not math.isfinite(loss):
@@ -278,8 +278,10 @@ class TestTemperature:
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            temperature_rows(np.array([[1.0]]), 0.0)
+        # and the non-finite values, which would return NaN rows
+        for tau in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"got {tau!r}"):
+                temperature_rows(np.array([[0.5, 0.5, 0.0]]), tau)
 
 
 class TestNucleus:
