@@ -1,6 +1,8 @@
 """Vocabulary, one-hot embedding, sequence enumeration, and explicit joints.
 
-Every token <-> index <-> one-hot conversion in the package lives here.
+Every conversion between token rows, sequence indices, one-hot states and
+TokenSequence lists in the package lives here, with the inverse-CDF index
+draw and the mean/SE of a sample of per-draw values.
 Sequences of length L over a V-token vocabulary are embedded into R^(L*V),
 block l holding the one-hot indicator of token l. Distributions over the
 V^L sequences are stored as dense tables indexed big-endian:
@@ -13,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +109,35 @@ def onehot_tokens(states: np.ndarray, vocab: int) -> tuple[np.ndarray, np.ndarra
     return np.argmax(blocks, axis=2), exact
 
 
+def token_sequences(rows: np.ndarray, vocab: int) -> list[TokenSequence]:
+    """One TokenSequence per row of token ids (n, L); equal rows share one immutable object."""
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    seqs = [TokenSequence(tokens=tuple(int(t) for t in row), vocab=vocab) for row in distinct]
+    return [seqs[j] for j in inverse.reshape(-1)]
+
+
+def token_rows(samples: Sequence[TokenSequence], length: int | None = None) -> tuple[np.ndarray, int]:
+    """Token ids (n, L) of ``samples`` and their largest vocabulary. An empty list, or
+    samples whose length is not the law's ``length`` (when given), raise ValueError."""
+    if len(samples) == 0:
+        raise ValueError("empty sample list")
+    rows = np.asarray([s.tokens for s in samples], dtype=int)
+    if length is not None and rows.shape[1] != length:
+        raise ValueError(f"samples have length {rows.shape[1]}, law has {length}")
+    return rows, max(s.vocab for s in samples)
+
+
+def inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Index of the first ``cdf`` entry >= each uniform, and the last index above ``cdf[-1]``."""
+    return np.minimum(np.searchsorted(cdf, uniforms, side="left"), cdf.size - 1)
+
+
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of a 1-d sample and its standard error std(ddof=1) / sqrt(n), 0 for one value."""
+    se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), float(se)
+
+
 def encode(seq: TokenSequence) -> np.ndarray:
     """One-hot state vector in R^(L*V); block l is the basis vector of token l."""
     return onehot(seq.tokens, seq.vocab)
@@ -113,19 +145,13 @@ def encode(seq: TokenSequence) -> np.ndarray:
 
 def enumerate_sequences(vocab: int, length: int) -> list[TokenSequence]:
     """All V^L sequences in big-endian index order."""
-    n = _check_space(vocab, length)
-    return [TokenSequence.from_index(i, vocab, length) for i in range(n)]
+    return token_sequences(index_matrix(vocab, length), vocab)
 
 
 def index_matrix(vocab: int, length: int) -> np.ndarray:
     """(V^L, L) int array of token ids, row i being the sequence at index i."""
     n = _check_space(vocab, length)
-    idx = np.arange(n)
-    cols = []
-    for pos in range(length):
-        power = vocab ** (length - 1 - pos)
-        cols.append((idx // power) % vocab)
-    return np.stack(cols, axis=1)
+    return np.arange(n)[:, None] // vocab ** np.arange(length - 1, -1, -1) % vocab
 
 
 def onehot_matrix(vocab: int, length: int) -> np.ndarray:
@@ -242,8 +268,7 @@ class JointDist:
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n iid sequence indices via inverse CDF on one uniform per draw."""
-        u = rng.random(n)
-        return np.minimum(np.searchsorted(self._cdf, u, side="left"), self.probs.size - 1)
+        return inverse_cdf(self._cdf, rng.random(n))
 
     def entropy(self) -> float:
         p = self.probs[self.probs > 0.0]

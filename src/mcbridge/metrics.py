@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .discrete import JointDist, TokenSequence, checked_rows, onehot_matrix, product_table, token_index
+from .discrete import (JointDist, TokenSequence, checked_rows, mean_se, onehot_matrix, product_table,
+                       token_index, token_rows)
 from .kernels import _MAX_BRIDGE_LEVEL, NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
 from .oracle import (
     _MC_CHUNK,
@@ -46,23 +47,9 @@ from .oracle import (
 from .seeding import derive_rng
 
 
-def _sequence_array(samples: Sequence[TokenSequence]) -> np.ndarray:
-    if len(samples) == 0:
-        raise ValueError("empty sample list")
-    return np.asarray([s.tokens for s in samples], dtype=int)
-
-
-def _sequence_indices(samples: Sequence[TokenSequence], nu: JointDist) -> np.ndarray:
-    arr = _sequence_array(samples)
-    if arr.shape[1] != nu.length:
-        raise ValueError(f"samples have length {arr.shape[1]}, law has {nu.length}")
-    return token_index(arr, nu.vocab)
-
-
 def _unigram_entropies(samples: Sequence[TokenSequence]) -> np.ndarray:
     """Per-sample entropy of the within-sequence token histogram."""
-    arr = _sequence_array(samples)
-    vocab = max(s.vocab for s in samples)
+    arr, vocab = token_rows(samples)
     return row_entropy(np.stack([(arr == v).sum(axis=1) for v in range(vocab)], axis=1) / arr.shape[1])
 
 
@@ -72,13 +59,12 @@ def unigram_entropy(samples: Sequence[TokenSequence]) -> float:
 
 
 def unigram_entropy_se(samples: Sequence[TokenSequence]) -> float:
-    vals = _unigram_entropies(samples)
-    return float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return mean_se(_unigram_entropies(samples))[1]
 
 
 def empirical_tv(samples: Sequence[TokenSequence], nu: JointDist) -> float:
     """Total variation between the empirical sequence law and nu."""
-    idx = _sequence_indices(samples, nu)
+    idx = token_index(token_rows(samples, nu.length)[0], nu.vocab)
     freq = np.bincount(idx, minlength=nu.probs.size) / idx.size
     return float(0.5 * np.abs(freq - nu.probs).sum())
 
@@ -106,15 +92,13 @@ class OracleNll(NamedTuple):
 def oracle_nll(samples: Sequence[TokenSequence], nu: JointDist) -> OracleNll:
     """Average -log nu(w) over samples; zero-probability samples are counted
     separately rather than silently dropped or folded into the average."""
-    idx = _sequence_indices(samples, nu)
-    probs = nu.probs[idx]
+    probs = nu.probs[token_index(token_rows(samples, nu.length)[0], nu.vocab)]
     mask = probs > 0.0
     zero_count = int((~mask).sum())
     vals = -np.log(probs[mask])
     if vals.size == 0:
         return OracleNll(nll=math.inf, se=0.0, zero_count=zero_count)
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return OracleNll(nll=float(vals.mean()), se=se, zero_count=zero_count)
+    return OracleNll(*mean_se(vals), zero_count=zero_count)
 
 
 class FactorizationCheck(NamedTuple):
@@ -369,9 +353,7 @@ def _gap_node(nu: JointDist, onehot: np.ndarray, u: float, u_k: float, n_mc: int
         m_bar = filtered_endpoint_means(prior_rows, x_u, x_uk, u, u_k).reshape(hi - lo, -1)
         ddpm_sq[lo:hi] = ((m_u - m_uk) ** 2).sum(axis=1)
         mcb_sq[lo:hi] = ((m_u - m_bar) ** 2).sum(axis=1)
-    diff = ddpm_sq - mcb_sq
-    sqrt_n = math.sqrt(n_mc)
-    return tuple(v for a in (ddpm_sq, mcb_sq, diff) for v in (float(a.mean()), float(a.std(ddof=1) / sqrt_n)))
+    return tuple(v for a in (ddpm_sq, mcb_sq, ddpm_sq - mcb_sq) for v in mean_se(a))
 
 
 def denoising_gap(

@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import JointDist, checked_rows, index_matrix, onehot_matrix, onehot_tokens, token_index
+from .discrete import (JointDist, checked_rows, index_matrix, inverse_cdf, mean_se, onehot_matrix, onehot_tokens,
+                       token_index)
 from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
 
 _ROW_TOL = 1e-10
@@ -443,7 +444,7 @@ def kernel_kl_estimate(
     diff = np.empty(n)
     for lo in range(0, n, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, n)
-        idx = np.minimum(np.searchsorted(cdf, uniforms[lo:hi], side="left"), post.size - 1)
+        idx = inverse_cdf(cdf, uniforms[lo:hi])
         z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((hi - lo, nu.dim))
         diff[lo:hi] = _kernel_logdensities(nu, post, y, u_k, u_next, z)
         diff[lo:hi] -= mcb_kernel_logdensities(rows, y, u_k, u_next, z)
@@ -454,9 +455,4 @@ def kernel_kl_estimate(
     used = diff[mask]
     if used.size < 2:
         raise RuntimeError("too few finite samples for a KL estimate")
-    return KernelKl(
-        estimate=float(used.mean()),
-        se=float(used.std(ddof=1) / math.sqrt(used.size)),
-        n_flagged=flagged,
-        mi=multi_information(post, rows),
-    )
+    return KernelKl(*mean_se(used), n_flagged=flagged, mi=multi_information(post, rows))

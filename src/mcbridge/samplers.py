@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import TokenSequence, onehot
+from .discrete import TokenSequence, onehot, onehot_tokens, token_sequences
 from .kernels import NoiseGrid, fm_time_map, reverse_step_coeffs, tweedie_score
 from .oracle import _ROW_TOL, row_entropy
 from .predictors import MarginalPredictor, nucleus_rows, temperature_rows
@@ -253,9 +253,8 @@ def _run_lockstep(
     """Advance all chains together; chain i draws only from rngs[i], in the
     order the module docstring gives. When ``steps`` is a list, one
     ``_step_row`` is appended to it per step."""
-    n = len(rngs)
     vocab, length = pred.vocab, pred.length
-    states = np.empty((n, vocab * length))
+    states = np.empty((len(rngs), vocab * length))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=states[i])
     if cfg.method == "ode":
@@ -269,15 +268,8 @@ def _run_lockstep(
         states, rows, tokens = _checked_step(k, step, states, u_k, u_next, pred, cfg, uniforms, noise)
         if steps is not None:
             steps.append(_step_row(k, u_k, rows, states, tokens, prev_tokens))
-    decoded = tokens if tokens is not None else np.argmax(states.reshape(n, length, vocab), axis=2)
-    return states, _token_sequences(decoded, vocab)
-
-
-def _token_sequences(decoded: np.ndarray, vocab: int) -> list[TokenSequence]:
-    """One TokenSequence per row; equal rows share one immutable object."""
-    rows, inverse = np.unique(decoded, axis=0, return_inverse=True)
-    distinct = [TokenSequence(tokens=tuple(int(t) for t in row), vocab=vocab) for row in rows]
-    return [distinct[j] for j in inverse.reshape(-1)]
+    decoded = tokens if tokens is not None else onehot_tokens(states, vocab)[0]
+    return states, token_sequences(decoded, vocab)
 
 
 def run_chain(

@@ -41,12 +41,8 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
-def seed_sequence(root_seed: int, *tags: str | int) -> np.random.SeedSequence:
-    entropy = [int(root_seed) & _MASK64] + [_tag_word(t) for t in tags]
-    return np.random.SeedSequence(entropy)
-
-
 def derive_rng(root_seed: int, *tags: str | int) -> np.random.Generator:
     """Generator for the stream identified by (root_seed, *tags)."""
-    return np.random.default_rng(seed_sequence(root_seed, *tags))
+    entropy = [int(root_seed) & _MASK64] + [_tag_word(t) for t in tags]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 

@@ -17,6 +17,7 @@ import pytest
 from mcbridge import cli
 from mcbridge.cli import main
 from mcbridge.discrete import JointDist
+from mcbridge.metrics import GapNode, GapReport
 from mcbridge.predictors import TrainConfig, TrainedPredictor, train_predictor
 from mcbridge.seeding import derive_rng
 
@@ -441,6 +442,38 @@ class TestVerify:
         summary = json.loads((out / "verify_summary.json").read_text())
         failing = [c["check"] for c in summary["checks"] if not c["passed"]]
         assert failing == ["factorization_identity"]
+
+    @pytest.mark.parametrize("horizon", [80.0, 700.0])
+    def test_gap_far_from_the_data_passes_within_rounding(self, tmp_path, horizon):
+        # beyond u ~ 40 both estimates are the prior rows up to rounding, so
+        # those nodes read one constant negative squared-error difference
+        # (~3e-32) with an SE of exactly 0
+        dist = tmp_path / "d.json"
+        assert main(["gen-dist", "--kind", "dirichlet", "--vocab", "3", "--length", "2", "--alpha", "0.8",
+                     "--seed", "1", "--out", str(dist)]) == 0
+        cfg = _write_config(tmp_path, {"horizon": horizon, "gap_n_mc": 1000, "bound_n_mc": 1000})
+        out = tmp_path / "verify"
+        assert main(["verify", "--dist", str(dist), "--config", cfg, "--out", str(out)]) == 0
+        with (out / "gap_nodes.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert any(float(r["gap"]) < 0.0 and float(r["gap_se"]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "gap, se, passed",
+        [(-0.01, 1e-3, False), (-1e-25, 0.0, False), (-1e-31, 0.0, True), (-1e-31, 1e-3, True)],
+        ids=["below-3-se", "above-rounding", "within-rounding", "within-3-se"],
+    )
+    def test_gap_check_fails_only_outside_se_and_rounding(self, monkeypatch, copy3x2, gap, se, passed):
+        # interval 1's node has weight and coefficient 1, so its rounding floor
+        # is dim * (4 eps)^2 = 4.7e-30 on the copy 3x2 law
+        nodes = [GapNode(0, 1.0, 2.0, 1.0, 1.0, 0.2, 1e-3, 0.1, 1e-3, 0.1, 1e-3),
+                 GapNode(1, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0, -gap, 0.0, gap, se)]
+        report = GapReport(nodes=nodes, n_mc=1000)
+        monkeypatch.setattr(cli, "denoising_gap", lambda *args: report)
+        record, got = cli.check_gap(copy3x2, dict(cli._VERIFY_DEFAULTS), derive_rng(0, "gap"))
+        assert got is report
+        assert record["passed"] is passed
+        assert record["statistic"] == report.total_gap > 0.0
 
     def test_gap_nodes_csv_written(self, tmp_path, copy_dist):
         cfg = _write_config(tmp_path, QUICK_VERIFY)

@@ -15,12 +15,17 @@ from mcbridge.discrete import (
     encode,
     enumerate_sequences,
     index_matrix,
+    inverse_cdf,
     make_joint,
+    mean_se,
     onehot,
     onehot_matrix,
     onehot_tokens,
     token_index,
+    token_rows,
+    token_sequences,
 )
+from mcbridge.metrics import empirical_tv, oracle_nll, unigram_entropy, unigram_entropy_se
 
 
 class TestEncodeDecode:
@@ -46,6 +51,84 @@ class TestEncodeDecode:
     def test_rejects_bad_token(self):
         with pytest.raises(ValueError):
             TokenSequence(tokens=(3,), vocab=3)
+
+
+class TestSampleConversions:
+    def test_rows_round_trip_in_order_and_equal_rows_share_one_object(self):
+        rows = np.array([[2, 0], [1, 1], [2, 0], [0, 2], [1, 1], [2, 0]])
+        seqs = token_sequences(rows, 3)
+        assert [s.tokens for s in seqs] == [tuple(r) for r in rows.tolist()]
+        assert all(type(t) is int for s in seqs for t in s.tokens)
+        assert seqs[0] is seqs[2] is seqs[5] and seqs[1] is seqs[4]
+        assert len({id(s) for s in seqs}) == 3
+        back, vocab = token_rows(seqs, 2)
+        np.testing.assert_array_equal(back, rows)
+        assert vocab == 3
+
+    def test_vocabulary_is_the_largest_among_the_samples(self):
+        assert token_rows([TokenSequence((0, 1), 2), TokenSequence((4, 0), 5), TokenSequence((1, 1), 3)])[1] == 5
+
+    def test_enumeration_is_every_index_row(self):
+        seqs = enumerate_sequences(3, 3)
+        assert seqs == [TokenSequence.from_index(i, 3, 3) for i in range(27)]
+        np.testing.assert_array_equal(token_rows(seqs)[0], index_matrix(3, 3))
+
+    def test_empty_list_raises_the_old_message(self, copy3x2):
+        for call in (lambda: token_rows([]), lambda: unigram_entropy([]), lambda: unigram_entropy_se([]),
+                     lambda: empirical_tv([], copy3x2), lambda: oracle_nll([], copy3x2)):
+            with pytest.raises(ValueError, match="^empty sample list$"):
+                call()
+
+    def test_wrong_length_raises_the_old_message(self, copy3x2):
+        seqs = [TokenSequence((0, 1, 2), 3)]
+        for call in (lambda: token_rows(seqs, 2), lambda: empirical_tv(seqs, copy3x2),
+                     lambda: oracle_nll(seqs, copy3x2)):
+            with pytest.raises(ValueError, match="^samples have length 3, law has 2$"):
+                call()
+        assert token_rows(seqs)[0].shape == (1, 3)
+
+    def test_inverse_cdf_matches_the_searchsorted_expression(self):
+        # ten cells of 0.1 sum to 1 - 1.1e-16, so uniforms above cdf[-1] exist; a
+        # zero cell repeats its CDF entry
+        probs = np.array([0.1] * 4 + [0.0] + [0.1] * 6)
+        cdf = np.cumsum(probs)
+        assert cdf[-1] < 1.0
+        u = np.concatenate([
+            cdf, [0.0, np.nextafter(cdf[-1], 1.0), np.nextafter(1.0, 0.0)],
+            np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), np.random.default_rng(0).random(1000),
+        ])
+        expected = np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
+        np.testing.assert_array_equal(inverse_cdf(cdf, u), expected)
+        assert inverse_cdf(cdf, cdf[3:4])[0] == 3 and inverse_cdf(cdf, cdf[4:5])[0] == 3
+        assert inverse_cdf(cdf, np.array([np.nextafter(1.0, 0.0)]))[0] == 10
+
+    def test_sample_indices_draws_one_uniform_each_through_inverse_cdf(self, dirichlet3x2):
+        got = dirichlet3x2.sample_indices(np.random.default_rng(5), 5000)
+        u = np.random.default_rng(5).random(5000)
+        expected = np.minimum(np.searchsorted(np.cumsum(dirichlet3x2.probs), u, side="left"), 8)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_decode_matches_the_per_block_argmax_ties_included(self):
+        # entries in {0, 1, 2} tie within most 4-token blocks; the first maximum wins
+        states = np.random.default_rng(3).integers(0, 3, (2000, 12)).astype(float)
+        states[0] = 1.0
+        expected = np.argmax(states.reshape(2000, 3, 4), axis=2)
+        np.testing.assert_array_equal(onehot_tokens(states, 4)[0], expected)
+        assert tuple(onehot_tokens(states, 4)[0][0]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2049])
+    def test_mean_se_reproduces_the_written_out_formulas(self, n):
+        vals = 0.7 + 1e-3 * np.random.default_rng(n).standard_normal(n)
+        mean, se = mean_se(vals)
+        assert type(mean) is float and type(se) is float
+        assert mean == float(vals.mean())
+        # oracle_nll and unigram_entropy_se
+        assert se == (float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0)
+        if n > 1:
+            # kernel_kl_estimate (over its finite ratios) and a gap node (over n_mc samples)
+            assert se == float(vals.std(ddof=1) / math.sqrt(n))
+        else:
+            assert se == 0.0
 
 
 class TestEnumeration:
