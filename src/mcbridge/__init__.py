@@ -12,13 +12,7 @@ Library layout:
   cli         command-line front end (gen-dist, train, sample, sweep, verify)
 """
 
-from .discrete import (
-    JointDist,
-    TokenSequence,
-    encode,
-    enumerate_sequences,
-    make_joint,
-)
+from .discrete import JointDist, TokenSequence, make_joint
 from .kernels import (
     NoiseGrid,
     OuCoeffs,

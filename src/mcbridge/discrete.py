@@ -116,15 +116,21 @@ def token_sequences(rows: np.ndarray, vocab: int) -> list[TokenSequence]:
     return [seqs[j] for j in inverse.reshape(-1)]
 
 
-def token_rows(samples: Sequence[TokenSequence], length: int | None = None) -> tuple[np.ndarray, int]:
+def token_rows(
+    samples: Sequence[TokenSequence], length: int | None = None, vocab: int | None = None
+) -> tuple[np.ndarray, int]:
     """Token ids (n, L) of ``samples`` and their largest vocabulary. An empty list, or
-    samples whose length is not the law's ``length`` (when given), raise ValueError."""
+    samples whose length or vocabulary is not the law's ``length`` or ``vocab`` (when
+    given), raise ValueError."""
     if len(samples) == 0:
         raise ValueError("empty sample list")
     rows = np.asarray([s.tokens for s in samples], dtype=int)
     if length is not None and rows.shape[1] != length:
         raise ValueError(f"samples have length {rows.shape[1]}, law has {length}")
-    return rows, max(s.vocab for s in samples)
+    vocabs = {s.vocab for s in samples}
+    if vocab is not None and vocabs != {vocab}:
+        raise ValueError(f"samples have vocabulary {max(vocabs - {vocab})}, law has {vocab}")
+    return rows, max(vocabs)
 
 
 def inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -138,16 +144,6 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(se)
 
 
-def encode(seq: TokenSequence) -> np.ndarray:
-    """One-hot state vector in R^(L*V); block l is the basis vector of token l."""
-    return onehot(seq.tokens, seq.vocab)
-
-
-def enumerate_sequences(vocab: int, length: int) -> list[TokenSequence]:
-    """All V^L sequences in big-endian index order."""
-    return token_sequences(index_matrix(vocab, length), vocab)
-
-
 def index_matrix(vocab: int, length: int) -> np.ndarray:
     """(V^L, L) int array of token ids, row i being the sequence at index i."""
     n = _check_space(vocab, length)
@@ -155,7 +151,7 @@ def index_matrix(vocab: int, length: int) -> np.ndarray:
 
 
 def onehot_matrix(vocab: int, length: int) -> np.ndarray:
-    """(V^L, L*V) matrix whose row i is encode(sequence i)."""
+    """(V^L, L*V) matrix whose row i is the one-hot state of sequence i."""
     return onehot(index_matrix(vocab, length), vocab)
 
 
@@ -269,10 +265,6 @@ class JointDist:
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n iid sequence indices via inverse CDF on one uniform per draw."""
         return inverse_cdf(self._cdf, rng.random(n))
-
-    def entropy(self) -> float:
-        p = self.probs[self.probs > 0.0]
-        return float(-(p * np.log(p)).sum())
 
     def to_json_dict(self) -> dict:
         return {"V": self.vocab, "L": self.length, "probs": [float(p) for p in self.probs]}

@@ -32,7 +32,7 @@ import numpy as np
 
 from .discrete import (JointDist, TokenSequence, checked_rows, mean_se, onehot_matrix, product_table,
                        token_index, token_rows)
-from .kernels import _MAX_BRIDGE_LEVEL, NoiseGrid, denoising_weight, ou_coeffs, reverse_step_coeffs
+from .kernels import _MAX_BRIDGE_LEVEL, NoiseGrid, denoising_weight, forward_sample, reverse_step_coeffs
 from .oracle import (
     _MC_CHUNK,
     _MC_MIN,
@@ -62,9 +62,14 @@ def unigram_entropy_se(samples: Sequence[TokenSequence]) -> float:
     return mean_se(_unigram_entropies(samples))[1]
 
 
+def _law_indices(samples: Sequence[TokenSequence], nu: JointDist) -> np.ndarray:
+    """Indices in nu's table of ``samples``, which must have nu's length and vocabulary."""
+    return token_index(token_rows(samples, nu.length, nu.vocab)[0], nu.vocab)
+
+
 def empirical_tv(samples: Sequence[TokenSequence], nu: JointDist) -> float:
     """Total variation between the empirical sequence law and nu."""
-    idx = token_index(token_rows(samples, nu.length)[0], nu.vocab)
+    idx = _law_indices(samples, nu)
     freq = np.bincount(idx, minlength=nu.probs.size) / idx.size
     return float(0.5 * np.abs(freq - nu.probs).sum())
 
@@ -92,7 +97,7 @@ class OracleNll(NamedTuple):
 def oracle_nll(samples: Sequence[TokenSequence], nu: JointDist) -> OracleNll:
     """Average -log nu(w) over samples; zero-probability samples are counted
     separately rather than silently dropped or folded into the average."""
-    probs = nu.probs[token_index(token_rows(samples, nu.length)[0], nu.vocab)]
+    probs = nu.probs[_law_indices(samples, nu)]
     mask = probs > 0.0
     zero_count = int((~mask).sum())
     vals = -np.log(probs[mask])
@@ -335,18 +340,11 @@ def _gap_node(nu: JointDist, onehot: np.ndarray, u: float, u_k: float, n_mc: int
     Draws in chunks of _MC_CHUNK samples: per chunk the endpoint indices,
     then the X_u normals, then the X_{u_k} normals.
     """
-    co_u = ou_coeffs(u)
-    co_d = ou_coeffs(u_k - u)
     ddpm_sq, mcb_sq = np.empty(n_mc), np.empty(n_mc)
     for lo in range(0, n_mc, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, n_mc)
-        idx = nu.sample_indices(rng, hi - lo)
-        x_u = rng.standard_normal((hi - lo, nu.dim))
-        x_u *= co_u.sigma
-        x_u += co_u.c * onehot[idx]
-        x_uk = rng.standard_normal(x_u.shape)
-        x_uk *= co_d.sigma
-        x_uk += co_d.c * x_u
+        x_u = forward_sample(onehot[nu.sample_indices(rng, hi - lo)], u, rng)
+        x_uk = forward_sample(x_u, u_k - u, rng)
         m_u = posterior_marginals(nu, u, x_u).reshape(hi - lo, -1)
         prior_rows = posterior_marginals(nu, u_k, x_uk)
         m_uk = prior_rows.reshape(hi - lo, -1)

@@ -336,23 +336,17 @@ def filtered_endpoint_means(
     return row_softmax(_log_table(prior_rows) + r / (2.0 * stable_sinh(u)))
 
 
-def true_kernel_logdensities(nu: JointDist, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray) -> np.ndarray:
-    """Log-density of the exact posterior-predictive reverse kernel at z.
-
-    K*(z | y) = sum_w q(w | X_{u_k} = y) BridgeNormal(z; y, e(w)); evaluated
-    for a batch of z rows via log-sum-exp over all V^L endpoints. Full Gaussian
-    constants are kept so the kernel integrates to one. At u_next = 0 the
-    kernel is supported on exact one-hot states; the returned value is then the
-    log-mass of the decoded sequence, and -inf off the support.
-    """
-    post = joint_posterior_probs(nu, u_k, y)[0]
-    return _kernel_logdensities(nu, post, y, u_k, u_next, z)
-
-
-def _kernel_logdensities(
+def true_kernel_logdensities(
     nu: JointDist, post: np.ndarray, y: np.ndarray, u_k: float, u_next: float, z: np.ndarray
 ) -> np.ndarray:
-    """``true_kernel_logdensities`` given the joint posterior at (u_k, y).
+    """Log-density of the exact posterior-predictive reverse kernel at z, given
+    the joint posterior ``post`` = q(. | X_{u_k} = y), a distribution over nu's V^L sequences.
+
+    K*(z | y) = sum_w q(w | y) BridgeNormal(z; y, e(w)); evaluated for a batch
+    of z rows via log-sum-exp over all V^L endpoints. Full Gaussian constants
+    are kept so the kernel integrates to one. At u_next = 0 the kernel is
+    supported on exact one-hot states; the returned value is then the
+    log-mass of the decoded sequence, and -inf off the support.
 
     With r = z - b y and |e(w)|^2 = L, each mixture component's exponent is
     -(|r|^2 + a^2 L) / (2 var) + (a / var) <r, e(w)>, so the log-sum-exp over
@@ -360,6 +354,10 @@ def _kernel_logdensities(
     with q(w | y) as weights, in blocks of ``_block_rows`` rows; a row's
     value does not depend on the block size.
     """
+    post = np.asarray(post, dtype=float)
+    if post.shape != nu.probs.shape:
+        raise ValueError(f"post of shape {post.shape} does not match the law's {nu.probs.shape}")
+    checked_rows(post[None], _ROW_TOL, "post")
     z = np.atleast_2d(np.asarray(z, dtype=float))
     a, b, var = reverse_step_coeffs(u_next, u_k)
     if var == 0.0:
@@ -446,7 +444,7 @@ def kernel_kl_estimate(
         hi = min(lo + _MC_CHUNK, n)
         idx = inverse_cdf(cdf, uniforms[lo:hi])
         z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((hi - lo, nu.dim))
-        diff[lo:hi] = _kernel_logdensities(nu, post, y, u_k, u_next, z)
+        diff[lo:hi] = true_kernel_logdensities(nu, post, y, u_k, u_next, z)
         diff[lo:hi] -= mcb_kernel_logdensities(rows, y, u_k, u_next, z)
     mask = np.isfinite(diff)
     flagged = int(n - mask.sum())

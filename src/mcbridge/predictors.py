@@ -29,9 +29,6 @@ class TrainingDiverged(RuntimeError):
         self.step = step
         self.loss = loss
 
-    def __reduce__(self):
-        return type(self), (self.step, self.loss)
-
 
 class MarginalPredictor(ABC):
     """Contract: (state, noise level) -> row-stochastic L x V marginal table."""

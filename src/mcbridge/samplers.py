@@ -52,11 +52,6 @@ class StepFailed(RuntimeError):
         super().__init__(f"step {step} (level {level:g}) failed: {cause}")
         self.step = step
         self.level = level
-        self.detail = str(cause)
-
-    def __reduce__(self):
-        # the cause crosses a pickle as its message, which is all str(self) keeps of it
-        return type(self), (self.step, self.level, self.detail)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,27 @@ as ground truth for them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from typing import Callable
 
 import numpy as np
 
-from mcbridge.discrete import JointDist, TokenSequence, encode, enumerate_sequences
+from mcbridge.discrete import JointDist
+
+
+def sequences(vocab: int, length: int) -> list[tuple[int, ...]]:
+    """All V^L token tuples in big-endian index order: the last position varies fastest."""
+    return list(itertools.product(range(vocab), repeat=length))
+
+
+def onehot_state(tokens: tuple[int, ...], vocab: int) -> np.ndarray:
+    """The (L*V,) one-hot state of ``tokens``, set one block at a time."""
+    x = np.zeros(len(tokens) * vocab)
+    for pos, tok in enumerate(tokens):
+        x[pos * vocab + tok] = 1.0
+    return x
 
 
 def gauss_logpdf(x: np.ndarray, mean: np.ndarray, var: float) -> float:
@@ -27,7 +41,7 @@ def gauss_logpdf(x: np.ndarray, mean: np.ndarray, var: float) -> float:
 def forward_state(nu: JointDist, u: float, rng: np.random.Generator) -> np.ndarray:
     """One draw of X_u from the forward law (clean sequence from nu)."""
     idx = int(nu.sample_indices(rng, 1)[0])
-    x0 = encode(TokenSequence.from_index(idx, nu.vocab, nu.length))
+    x0 = onehot_state(sequences(nu.vocab, nu.length)[idx], nu.vocab)
     c = math.exp(-u)
     sigma = math.sqrt(-math.expm1(-2.0 * u))
     return c * x0 + sigma * rng.standard_normal(x0.size)
@@ -38,8 +52,8 @@ def brute_joint_posterior(nu: JointDist, t: float, x: np.ndarray) -> np.ndarray:
     c = math.exp(-t)
     var = -math.expm1(-2.0 * t)
     weights = np.empty(nu.probs.size)
-    for i, seq in enumerate(enumerate_sequences(nu.vocab, nu.length)):
-        weights[i] = nu.probs[i] * math.exp(gauss_logpdf(x, c * encode(seq), var))
+    for i, toks in enumerate(sequences(nu.vocab, nu.length)):
+        weights[i] = nu.probs[i] * math.exp(gauss_logpdf(x, c * onehot_state(toks, nu.vocab), var))
     return weights / weights.sum()
 
 
@@ -66,11 +80,11 @@ def brute_filtered_mean(
     c_k = math.exp(-u_k)
     v_k = -math.expm1(-2.0 * u_k)
     log_w = np.full(nu.probs.size, -math.inf)
-    for i, seq in enumerate(enumerate_sequences(vocab, length)):
+    for i, toks in enumerate(sequences(vocab, length)):
         if nu.probs[i] == 0.0:
             continue
         lw = math.log(nu.probs[i])
-        for j, tok in enumerate(seq.tokens):
+        for j, tok in enumerate(toks):
             e_tok = np.zeros(vocab)
             e_tok[tok] = 1.0
             yk_block = y_k[j * vocab : (j + 1) * vocab]
@@ -84,8 +98,8 @@ def brute_filtered_mean(
     w = np.exp(log_w)
     w /= w.sum()
     out = np.zeros(vocab)
-    for i, seq in enumerate(enumerate_sequences(vocab, length)):
-        out[seq.tokens[pos]] += w[i]
+    for i, toks in enumerate(sequences(vocab, length)):
+        out[toks[pos]] += w[i]
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from helpers import brute_filtered_mean, forward_state
 
 from mcbridge.cli import _VERIFY_DEFAULTS, check_factorization, check_gap, check_kernel_bound, check_moments
-from mcbridge.discrete import encode, make_joint, onehot
+from mcbridge.discrete import make_joint, onehot
 from mcbridge.kernels import NoiseGrid, reverse_step_coeffs
 from mcbridge.metrics import (
     denoising_gap,
@@ -224,7 +224,7 @@ def test_criterion_8_terminal_validity(copy3x2, copy_oracle):
         cfg = SamplerConfig(grid=NoiseGrid.fm_uniform(6.0, 16), method="mcb", seed=109)
         seqs, states = batch_sample(cfg, copy_oracle, n, return_states=True)
         for seq, state in zip(seqs, states):
-            np.testing.assert_array_equal(state, encode(seq))
+            np.testing.assert_array_equal(state, onehot(seq.tokens, seq.vocab))
         assert np.all((states == 0.0) | (states == 1.0))
         assert np.all(states.reshape(n, 2, 3).sum(axis=2) == 1.0)
 

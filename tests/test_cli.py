@@ -815,3 +815,20 @@ def test_cli_import_adds_only_listed_modules():
     added = set(run.stdout.split())
     assert "mcbridge" in added
     assert added <= _CLI_IMPORTS, sorted(added - _CLI_IMPORTS)
+
+
+def test_module_entry_point_runs_a_command_and_exits_2_on_bad_input(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mcbridge", *argv], env=env, capture_output=True, text=True)
+
+    out = tmp_path / "copy.json"
+    ok = run("gen-dist", "--kind", "copy", "--out", str(out))
+    assert ok.returncode == 0, ok.stderr
+    assert JointDist.load(out).probs.size == 9
+    bad = run("gen-dist", "--vocab", "0", "--out", str(tmp_path / "bad.json"))
+    assert bad.returncode == 2
+    assert "error:" in bad.stderr
+    assert not (tmp_path / "bad.json").exists()

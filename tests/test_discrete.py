@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import onehot_state, sequences
 
 from mcbridge.discrete import (
     EnumerationLimitError,
@@ -12,8 +13,6 @@ from mcbridge.discrete import (
     TokenSequence,
     checked_keys,
     checked_rows,
-    encode,
-    enumerate_sequences,
     index_matrix,
     inverse_cdf,
     make_joint,
@@ -30,17 +29,15 @@ from mcbridge.metrics import empirical_tv, oracle_nll, unigram_entropy, unigram_
 
 class TestEncodeDecode:
     def test_single_token(self):
-        x = encode(TokenSequence(tokens=(0,), vocab=2))
-        np.testing.assert_array_equal(x, [1.0, 0.0])
+        np.testing.assert_array_equal(onehot([0], 2), [1.0, 0.0])
 
     def test_two_tokens(self):
-        x = encode(TokenSequence(tokens=(1, 0), vocab=2))
-        np.testing.assert_array_equal(x, [0.0, 1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(onehot([1, 0], 2), [0.0, 1.0, 1.0, 0.0])
 
     def test_round_trip_exhaustive(self):
-        for seq in enumerate_sequences(4, 3):
-            toks, _ = onehot_tokens(encode(seq)[None, :], 4)
-            assert TokenSequence(tuple(int(t) for t in toks[0]), 4) == seq
+        for toks in sequences(4, 3):
+            decoded, exact = onehot_tokens(onehot_state(toks, 4)[None, :], 4)
+            assert tuple(decoded[0].tolist()) == toks and exact[0]
 
     def test_argmax_block(self):
         assert tuple(onehot_tokens(np.array([[0.2, 0.5, 0.3]]), 3)[0][0]) == (1,)
@@ -69,9 +66,9 @@ class TestSampleConversions:
         assert token_rows([TokenSequence((0, 1), 2), TokenSequence((4, 0), 5), TokenSequence((1, 1), 3)])[1] == 5
 
     def test_enumeration_is_every_index_row(self):
-        seqs = enumerate_sequences(3, 3)
+        seqs = token_sequences(index_matrix(3, 3), 3)
         assert seqs == [TokenSequence.from_index(i, 3, 3) for i in range(27)]
-        np.testing.assert_array_equal(token_rows(seqs)[0], index_matrix(3, 3))
+        np.testing.assert_array_equal(token_rows(seqs)[0], sequences(3, 3))
 
     def test_empty_list_raises_the_old_message(self, copy3x2):
         for call in (lambda: token_rows([]), lambda: unigram_entropy([]), lambda: unigram_entropy_se([]),
@@ -86,6 +83,18 @@ class TestSampleConversions:
             with pytest.raises(ValueError, match="^samples have length 3, law has 2$"):
                 call()
         assert token_rows(seqs)[0].shape == (1, 3)
+
+    def test_another_vocabulary_raises_naming_both(self, uniform3x2):
+        # the tokens of (0, 4) over V = 5 would otherwise index (1, 1) of a V = 3 law
+        mixed = [TokenSequence((1, 1), 3)] * 2 + [TokenSequence((0, 4), 5)]
+        for seqs in ([TokenSequence((0, 4), 5)], [TokenSequence((4, 0), 5)], mixed):
+            for call in (lambda: token_rows(seqs, 2, 3), lambda: empirical_tv(seqs, uniform3x2),
+                         lambda: oracle_nll(seqs, uniform3x2)):
+                with pytest.raises(ValueError, match="^samples have vocabulary 5, law has 3$"):
+                    call()
+        with pytest.raises(ValueError, match="^samples have vocabulary 2, law has 3$"):
+            empirical_tv([TokenSequence((1, 1), 2)], uniform3x2)
+        assert token_rows([TokenSequence((0, 4), 5)])[1] == 5
 
     def test_inverse_cdf_matches_the_searchsorted_expression(self):
         # ten cells of 0.1 sum to 1 - 1.1e-16, so uniforms above cdf[-1] exist; a
@@ -133,44 +142,47 @@ class TestSampleConversions:
 
 class TestEnumeration:
     def test_binary_singletons(self):
-        seqs = enumerate_sequences(2, 1)
-        assert [s.tokens for s in seqs] == [(0,), (1,)]
+        assert index_matrix(2, 1).tolist() == [[0], [1]]
 
     def test_base3_indexing(self):
-        seqs = enumerate_sequences(3, 2)
-        assert len(seqs) == 9
-        assert seqs[5].tokens == (1, 2)
+        toks = index_matrix(3, 2)
+        assert len(toks) == 9
+        assert toks[5].tolist() == [1, 2]
+        assert TokenSequence.from_index(5, 3, 2).tokens == (1, 2)
 
     def test_count_and_uniqueness(self):
-        seqs = enumerate_sequences(4, 3)
-        assert len(seqs) == 64
-        assert len({s.tokens for s in seqs}) == 64
+        toks = index_matrix(4, 3)
+        assert toks.shape == (64, 3)
+        assert len({tuple(row) for row in toks.tolist()}) == 64
+        np.testing.assert_array_equal(toks, sequences(4, 3))
 
     def test_index_round_trip(self):
-        for i, seq in enumerate(enumerate_sequences(3, 3)):
+        for i, toks in enumerate(sequences(3, 3)):
+            seq = TokenSequence(toks, 3)
             assert seq.index == i
             assert TokenSequence.from_index(i, 3, 3) == seq
 
     def test_cap(self):
         with pytest.raises(EnumerationLimitError):
-            enumerate_sequences(10, 5)
+            index_matrix(10, 5)
         with pytest.raises(EnumerationLimitError):
             make_joint("uniform", 9, 4)  # 6561 > DEFAULT_ENUM_CAP
 
     @pytest.mark.parametrize("vocab, length", [(3, 2), (4, 3)])
     def test_onehot_and_token_index_match_encode(self, vocab, length):
-        seqs = enumerate_sequences(vocab, length)
-        toks = np.array([s.tokens for s in seqs])
-        for seq, row in zip(seqs, toks):
-            np.testing.assert_array_equal(onehot(row, vocab), encode(seq))
-            assert token_index(row, vocab) == seq.index
-        np.testing.assert_array_equal(onehot(toks, vocab), np.stack([encode(s) for s in seqs]))
-        np.testing.assert_array_equal(token_index(toks, vocab), [s.index for s in seqs])
+        # the encoding written out: itertools enumeration and one-hot set block by block
+        seqs = sequences(vocab, length)
+        toks = np.array(seqs)
+        for i, row in enumerate(toks):
+            np.testing.assert_array_equal(onehot(row, vocab), onehot_state(seqs[i], vocab))
+            assert token_index(row, vocab) == i == TokenSequence(seqs[i], vocab).index
+        np.testing.assert_array_equal(onehot(toks, vocab), np.stack([onehot_state(s, vocab) for s in seqs]))
+        np.testing.assert_array_equal(token_index(toks, vocab), np.arange(len(seqs)))
 
     def test_onehot_matrix_rows(self):
         mat = onehot_matrix(3, 2)
-        for i, seq in enumerate(enumerate_sequences(3, 2)):
-            np.testing.assert_array_equal(mat[i], encode(seq))
+        for i, toks in enumerate(sequences(3, 2)):
+            np.testing.assert_array_equal(mat[i], onehot_state(toks, 3))
 
     def test_index_matrix(self):
         toks = index_matrix(3, 2)
@@ -266,8 +278,8 @@ class TestJointDist:
 
     def test_lookup_consistency(self):
         nu = make_joint("dirichlet", 3, 2, seed=1)
-        for i, seq in enumerate(enumerate_sequences(3, 2)):
-            assert nu.probs[seq.index] == nu.probs[i]
+        for i, toks in enumerate(sequences(3, 2)):
+            assert nu.probs[TokenSequence(toks, 3).index] == nu.probs[i]
 
     def test_position_marginals_copy(self, copy3x2):
         np.testing.assert_allclose((copy3x2.probs @ onehot_matrix(3, 2)).reshape(2, 3), 1.0 / 3.0)

@@ -22,7 +22,6 @@ from mcbridge.metrics import (
     tv_noise_scale,
     unigram_entropy,
 )
-from mcbridge.samplers import StepFailed
 from mcbridge.seeding import derive_rng
 
 
@@ -98,7 +97,9 @@ class TestOracleNll:
         rng = derive_rng(2, "nll")
         seqs = _seqs_from_indices(nu.sample_indices(rng, 50_000), 3, 2)
         res = oracle_nll(seqs, nu)
-        assert abs(res.nll - nu.entropy()) <= 3 * res.se
+        p = nu.probs[nu.probs > 0.0]
+        entropy = -(p * np.log(p)).sum()
+        assert abs(res.nll - entropy) <= 3 * res.se
 
     def test_uniform_law_constant(self, uniform3x2):
         rng = derive_rng(3, "nllu")
@@ -331,13 +332,13 @@ class TestRunParallel:
     def test_child_error_reaches_caller(self, monkeypatch, cpus):
         def fail(i):
             if i in (1, 3):
-                raise StepFailed(i, 0.5, ValueError(f"task {i}"))
+                raise LookupError(f"task {i}")
             return i
 
         monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
-        with pytest.raises(StepFailed, match="task 1$") as err:
+        with pytest.raises(LookupError, match="^task 1$") as err:
             metrics._run_parallel(fail, 6)
-        assert (err.value.step, err.value.level) == (1, 0.5)
+        assert type(err.value) is LookupError
         _assert_no_children()
 
     def test_unpicklable_child_error_becomes_runtime_error(self, monkeypatch):

@@ -12,11 +12,12 @@ from helpers import (
     gauss_logpdf,
     rowwise_logsumexp,
     rowwise_softmax,
+    sequences,
     traced_peak,
 )
 
 from mcbridge import oracle
-from mcbridge.discrete import encode, enumerate_sequences, make_joint, onehot_matrix, product_table
+from mcbridge.discrete import make_joint, onehot_matrix, product_table
 from mcbridge.kernels import ou_coeffs, reverse_step_coeffs
 from mcbridge.oracle import (
     DegeneratePosteriorError,
@@ -115,11 +116,10 @@ class TestJointPosterior:
         np.testing.assert_allclose(post, copy3x2.probs, atol=1e-8)
 
     def test_mode_at_scaled_clean_state(self, uniform3x2):
-        seq = enumerate_sequences(3, 2)[4]
         t = 0.05
-        x = math.exp(-t) * encode(seq)
+        x = math.exp(-t) * onehot_matrix(3, 2)[4]
         post = joint_posterior_probs(uniform3x2, t, x)[0]
-        assert post[seq.index] > 0.99
+        assert post[4] > 0.99
 
     def test_matches_direct_density_evaluation(self):
         # normalization-constant invariance: the log-space path must agree
@@ -403,7 +403,7 @@ class TestKernelDensities:
         mean = (math.sinh(u_k - u_next) * x0 + math.sinh(u_next) * y) / sh_k
         var = 2.0 * math.sinh(u_next) * math.sinh(u_k - u_next) / sh_k
         want = gauss_logpdf(z, mean, var)
-        got = true_kernel_logdensities(nu, y, u_k, u_next, z)[0]
+        got = true_kernel_logdensities(nu, np.ones(1), y, u_k, u_next, z)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
         a, b, step_var = reverse_step_coeffs(u_next, u_k)
         np.testing.assert_allclose(gauss_logpdf(z, a * x0 + b * y, step_var), want, rtol=1e-12)
@@ -418,7 +418,8 @@ class TestKernelDensities:
         prop_var = var + 4.0 * a * a * copy3x2.length
         n = 20000
         z = center + math.sqrt(prop_var) * rng.standard_normal((n, 6))
-        log_k = true_kernel_logdensities(copy3x2, y, u_k, u_next, z)
+        post = joint_posterior_probs(copy3x2, u_k, y)[0]
+        log_k = true_kernel_logdensities(copy3x2, post, y, u_k, u_next, z)
         log_g = np.array([gauss_logpdf(zi, center, prop_var) for zi in z])
         w = np.exp(log_k - log_g)
         se = w.std(ddof=1) / math.sqrt(n)
@@ -430,18 +431,19 @@ class TestKernelDensities:
         y = forward_state(copy3x2, 1.0, rng)
         z = rng.standard_normal(6)
         perm = np.array([1, 0, 2, 4, 3, 5])  # swap tokens 0 and 1 in both blocks
-        d0 = true_kernel_logdensities(copy3x2, y, 1.0, 0.5, z)[0]
-        d1 = true_kernel_logdensities(copy3x2, y[perm], 1.0, 0.5, z[perm])[0]
+        post, post_perm = joint_posterior_probs(copy3x2, 1.0, np.stack([y, y[perm]]))
+        d0 = true_kernel_logdensities(copy3x2, post, y, 1.0, 0.5, z)[0]
+        d1 = true_kernel_logdensities(copy3x2, post_perm, y[perm], 1.0, 0.5, z[perm])[0]
         np.testing.assert_allclose(d0, d1, rtol=1e-10)
 
     def test_degenerate_terminal_step(self, copy3x2):
         rng = derive_rng(11, "deg")
         y = forward_state(copy3x2, 0.5, rng)
         post = joint_posterior_probs(copy3x2, 0.5, y)[0]
-        z = encode(enumerate_sequences(3, 2)[4])
-        got = true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z)[0]
+        z = onehot_matrix(3, 2)[4]
+        got = true_kernel_logdensities(copy3x2, post, y, 0.5, 0.0, z)[0]
         np.testing.assert_allclose(got, math.log(post[4]), rtol=1e-12)
-        assert true_kernel_logdensities(copy3x2, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
+        assert true_kernel_logdensities(copy3x2, post, y, 0.5, 0.0, z + 1e-3)[0] == -math.inf
         # the factorized kernel puts the product of the token marginals on sequence 4 = (1, 1)
         rows = posterior_marginals(copy3x2, 0.5, y)[0]
         got = mcb_kernel_logdensities(rows, y, 0.5, 0.0, z)[0]
@@ -452,20 +454,22 @@ class TestKernelDensities:
         nu = make_joint("dirichlet", 3, 1, seed=8)
         rng = derive_rng(12, "l1")
         y = forward_state(nu, 1.0, rng)
+        post = joint_posterior_probs(nu, 1.0, y)[0]
         rows = posterior_marginals(nu, 1.0, y)[0]
         for _ in range(20):
             z = rng.standard_normal(3)
-            a = true_kernel_logdensities(nu, y, 1.0, 0.5, z)[0]
+            a = true_kernel_logdensities(nu, post, y, 1.0, 0.5, z)[0]
             b = mcb_kernel_logdensities(rows, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_mcb_matches_true_for_product_law(self, product3x2):
         rng = derive_rng(13, "prod")
         y = forward_state(product3x2, 1.0, rng)
+        post = joint_posterior_probs(product3x2, 1.0, y)[0]
         rows = posterior_marginals(product3x2, 1.0, y)[0]
         for _ in range(20):
             z = rng.standard_normal(6)
-            a = true_kernel_logdensities(product3x2, y, 1.0, 0.5, z)[0]
+            a = true_kernel_logdensities(product3x2, post, y, 1.0, 0.5, z)[0]
             b = mcb_kernel_logdensities(rows, y, 1.0, 0.5, z)[0]
             np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -480,12 +484,19 @@ class TestKernelDensities:
         for _ in range(10):
             z = rng.standard_normal(6)
             comps = []
-            for i, seq in enumerate(enumerate_sequences(3, 2)):
-                w = math.prod(rows[pos, tok] for pos, tok in enumerate(seq.tokens))
+            for i, toks in enumerate(sequences(3, 2)):
+                w = math.prod(rows[pos, tok] for pos, tok in enumerate(toks))
                 comps.append(math.log(w) + gauss_logpdf(z, a * onehot[i] + b * y, var))
             want = np.logaddexp.reduce(comps)
             got = mcb_kernel_logdensities(rows, y, u_k, u_next, z)[0]
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_true_rejects_a_posterior_that_is_not_over_the_law(self, copy3x2):
+        post = joint_posterior_probs(copy3x2, 1.0, np.zeros(6))[0]
+        for bad, match in ((np.append(post, 0.0), r"post of shape \(10,\).*\(9,\)"), (post[:8], r"\(8,\)"),
+                           (2.0 * post, "each row of post must sum to 1"), (-post, "post entries")):
+            with pytest.raises(ValueError, match=match):
+                true_kernel_logdensities(copy3x2, bad, np.zeros(6), 1.0, 0.5, np.zeros(6))
 
     @pytest.mark.parametrize("y_width, z_width, bad", [(5, 6, r"y of shape \(5,\)"), (6, 7, r"z of shape \(1, 7\)")])
     def test_mcb_names_the_shapes_of_a_wrong_width_y_or_z(self, y_width, z_width, bad):
@@ -502,10 +513,11 @@ class TestKernelDensities:
 
     def test_rows_independent_of_block_budget(self, cap_law, monkeypatch):
         y, z = self._cap_kernel_draws(cap_law, 1.0, 0.5, 23, derive_rng(45, "kbudget"))
-        base = true_kernel_logdensities(cap_law, y, 1.0, 0.5, z)
+        post = joint_posterior_probs(cap_law, 1.0, y)[0]
+        base = true_kernel_logdensities(cap_law, post, y, 1.0, 0.5, z)
         for budget in (8 * 4096, 7 * 8 * 4096, 1 << 30):  # 1 row, 7 rows, all rows per block
             monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
-            np.testing.assert_array_equal(true_kernel_logdensities(cap_law, y, 1.0, 0.5, z), base)
+            np.testing.assert_array_equal(true_kernel_logdensities(cap_law, post, y, 1.0, 0.5, z), base)
 
     def test_matches_dense_one_hot_mixture(self, cap_law):
         # the blocked exp kernel against the plain (r @ onehot.T) log-sum-exp over all V^L endpoints
@@ -516,9 +528,10 @@ class TestKernelDensities:
             a, b, var = reverse_step_coeffs(u_next, u_k)
             r = z - b * y
             sq = (r * r).sum(axis=1, keepdims=True) - 2.0 * a * (r @ onehot.T) + a * a * 6
-            logits = np.log(joint_posterior_probs(cap_law, u_k, y)[0]) - sq / (2.0 * var)
+            post = joint_posterior_probs(cap_law, u_k, y)[0]
+            logits = np.log(post) - sq / (2.0 * var)
             dense = logsumexp(logits) - 0.5 * 24 * math.log(2.0 * math.pi * var)
-            got = true_kernel_logdensities(cap_law, y, u_k, u_next, z)
+            got = true_kernel_logdensities(cap_law, post, y, u_k, u_next, z)
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
 
@@ -576,7 +589,7 @@ class TestKernelKlEstimate:
         a, b, var = reverse_step_coeffs(u_next, u_k)
         idx = np.minimum(np.searchsorted(np.cumsum(post), rng.random(n), side="left"), post.size - 1)
         z = a * onehot[idx] + b * y[None, :] + math.sqrt(var) * rng.standard_normal((n, nu.dim))
-        diff = true_kernel_logdensities(nu, y, u_k, u_next, z) - mcb_kernel_logdensities(rows, y, u_k, u_next, z)
+        diff = true_kernel_logdensities(nu, post, y, u_k, u_next, z) - mcb_kernel_logdensities(rows, y, u_k, u_next, z)
         used = diff[np.isfinite(diff)]
         se = float(used.std(ddof=1) / math.sqrt(used.size))
         return float(used.mean()), se, n - used.size, multi_information(post, rows)

@@ -2,14 +2,13 @@
 
 import json
 import math
-import pickle
 
 import numpy as np
 import pytest
 from helpers import forward_state, rowwise_softmax
 
 from mcbridge import predictors
-from mcbridge.discrete import encode, enumerate_sequences, index_matrix, make_joint, onehot, onehot_matrix
+from mcbridge.discrete import index_matrix, make_joint, onehot, onehot_matrix
 from mcbridge.oracle import logsumexp, posterior_marginals
 from mcbridge.predictors import (
     TrainConfig,
@@ -72,11 +71,9 @@ class TestOraclePredictor:
     def test_sharp_at_low_noise(self, uniform3x2):
         pred = oracle_predictor(uniform3x2)
         u = 0.05
-        for seq in enumerate_sequences(3, 2)[:4]:
-            x = math.exp(-u) * encode(seq)
-            rows = pred.marginals_batch(x[None, :], u)[0]
-            onehot = encode(seq).reshape(2, 3)
-            tv = 0.5 * np.abs(rows - onehot).sum(axis=1)
+        for state in onehot_matrix(3, 2)[:4]:
+            rows = pred.marginals_batch(math.exp(-u) * state[None, :], u)[0]
+            tv = 0.5 * np.abs(rows - state.reshape(2, 3)).sum(axis=1)
             assert np.all(tv < 1e-2)
 
     def test_matches_posterior_marginals_exactly(self, dirichlet3x2):
@@ -201,11 +198,6 @@ class TestTrainPredictor:
         monkeypatch.setattr(TrainedPredictor, "_features", shifted)
         got = train_predictor(dirichlet3x2, cfg).params
         assert any(not np.array_equal(got[key], w) for key, w in plain.params.items())
-
-    def test_diverged_pickles(self):
-        err = pickle.loads(pickle.dumps(TrainingDiverged(12, math.inf)))
-        assert type(err) is TrainingDiverged
-        assert (err.step, str(err)) == (12, "non-finite training loss inf at step 12")
 
 
 class TestTrainedForward:
