@@ -107,7 +107,7 @@ def cmd_gen_dist(args: argparse.Namespace) -> int:
     if marginals is not None:
         try:
             marginals = np.asarray(parse_json(marginals) if isinstance(marginals, str) else marginals, dtype=float)
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"'marginals' must be an (L, V) array of numbers: {exc}") from exc
     nu = make_joint(
         opts["kind"], opts["vocab"], opts["length"], seed=opts["seed"], alpha=opts["alpha"], marginals=marginals
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--trace", action="store_const", const=True, help="write per-step aggregates to steps.csv")
     sweep = add("sweep", cmd_sweep, "sample a (method, steps, tau, p) product and score each cell", _SWEEP_DEFAULTS)
     for p in (sample, sweep):
-        p.add_argument("--dist")
+        p.add_argument("--dist", required=p is sweep)
         p.add_argument("--oracle", action="store_const", const=True, help="use the exact predictor")
         p.add_argument("--predictor", help="trained predictor file")
     # verify's other options are read from --config only

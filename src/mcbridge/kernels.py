@@ -17,23 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TAYLOR_CUTOFF = 1e-5
-
 # sinh overflows double precision near 710; bridge-ratio forms would turn
 # into inf/inf = nan, so reverse_step_coeffs rejects levels beyond this
 _MAX_BRIDGE_LEVEL = 700.0
-
-
-def stable_sinh(a: float) -> float:
-    """sinh with an explicit 3-term Taylor branch for tiny arguments.
-
-    Fine reverse grids make the last step width gamma_k tiny; the series
-    a*(1 + a^2/6 + a^4/120) is exact to double precision for |a| < 1e-5.
-    """
-    if abs(a) < _TAYLOR_CUTOFF:
-        a2 = a * a
-        return a * (1.0 + a2 / 6.0 * (1.0 + a2 / 20.0))
-    return math.sinh(a)
 
 
 def _check_time(t: float, name: str = "t") -> float:
@@ -109,7 +95,7 @@ def denoising_weight(u: float) -> float:
     u = float(u)
     if u <= 0.0:
         raise ValueError(f"u must be > 0, got {u}")
-    sh = stable_sinh(u)
+    sh = math.sinh(u)
     return 1.0 / (4.0 * sh * sh)
 
 
@@ -129,9 +115,9 @@ def reverse_step_coeffs(u_next: float, u_k: float) -> tuple[float, float, float]
         raise ValueError(f"u_k={u_k} exceeds {_MAX_BRIDGE_LEVEL}; the hyperbolic bridge forms overflow there")
     if u_next == 0.0:
         return 1.0, 0.0, 0.0
-    sh_k = stable_sinh(u_k)
-    sh_n = stable_sinh(u_next)
-    sh_g = stable_sinh(u_k - u_next)
+    sh_k = math.sinh(u_k)
+    sh_n = math.sinh(u_next)
+    sh_g = math.sinh(u_k - u_next)
     return sh_g / sh_k, sh_n / sh_k, 2.0 * sh_n * sh_g / sh_k
 
 

@@ -37,7 +37,8 @@ from .oracle import (
     _MC_CHUNK,
     _MC_MIN,
     _ROW_TOL,
-    discrete_kl,
+    _log_table,
+    _sequence_fold,
     filtered_endpoint_means,
     joint_posterior_probs,
     multi_information,
@@ -113,12 +114,16 @@ class FactorizationCheck(NamedTuple):
 
 
 def factorization_check(nu: JointDist, t: float, x: np.ndarray) -> FactorizationCheck:
-    """Exact-identity check: KL(joint posterior || product of its marginals)
-    equals the conditional multi-information, computed by two routes."""
+    """Exact-identity check of KL(q || prod_l q_l) = sum_l H(q_l) - H(q) for the joint
+    posterior q at (t, x), by two routes: ``kl`` against the oracle's token rows, their
+    logs summed over the index walk so that no product underflows, and ``mi``, whose q_l
+    are summed out of q. The gap is sum_l KL(q_l || rows_l), rounding on exact rows."""
     probs = joint_posterior_probs(nu, t, x)[0]
     rows = posterior_marginals(nu, t, x)[0]
-    kl = discrete_kl(probs, product_table(rows))
-    mi = multi_information(probs, rows)
+    log_prod = _sequence_fold(_log_table(rows)[:, :, None], np.add, np.empty((probs.size, 1)))[:, 0]
+    mask = probs > 0.0
+    kl = float(np.sum(probs[mask] * (np.log(probs[mask]) - log_prod[mask])))
+    mi = multi_information(probs, nu.vocab, nu.length)
     return FactorizationCheck(kl=kl, mi=mi, gap=abs(kl - mi))
 
 

@@ -26,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import (JointDist, checked_rows, index_matrix, inverse_cdf, mean_se, onehot_matrix, onehot_tokens,
-                       token_index)
-from .kernels import ou_coeffs, reverse_step_coeffs, stable_sinh
+from .discrete import JointDist, checked_rows, inverse_cdf, mean_se, onehot_matrix, onehot_tokens, token_index
+from .kernels import ou_coeffs, reverse_step_coeffs
 
 _ROW_TOL = 1e-10
 
@@ -278,37 +277,19 @@ def row_entropy(p: np.ndarray) -> np.ndarray:
         return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=-1)
 
 
-def discrete_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) over a shared index set, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+def multi_information(probs: np.ndarray, vocab: int, length: int) -> float:
+    """Conditional multi-information sum_l H(q_l) - H(q) of a (V^L,) joint sequence posterior q.
 
-
-def multi_information(probs: np.ndarray, rows: np.ndarray) -> float:
-    """KL between a (V^L,) joint sequence posterior and the product of its (L, V) rows.
-
-    Returns sum_w probs(w) log[probs(w) / prod_l rows[l, w_l]]; +inf (flagged
-    by the caller) when the joint puts mass where the product has none.
+    Each token marginal q_l is summed out of the joint itself: axis l of its
+    (V,) * L reshape (the big-endian index order) against all the others.
     """
-    rows = checked_rows(rows, _ROW_TOL)
-    length, vocab = rows.shape
     p = np.asarray(probs, dtype=float)
     if p.shape != (vocab**length,):
-        raise ValueError(f"joint of shape {p.shape} does not match marginal rows of shape {rows.shape}")
+        raise ValueError(f"joint of shape {p.shape} does not match V={vocab}, L={length}")
     checked_rows(p[None], _ROW_TOL, "joint")
-    toks = index_matrix(vocab, length)
-    logm = _log_table(rows)
-    log_prod = np.zeros(toks.shape[0])
-    for pos in range(length):
-        log_prod += logm[pos, toks[:, pos]]
-    mask = p > 0.0
-    if np.any(np.isneginf(log_prod[mask])):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - log_prod[mask])))
+    table = p.reshape((vocab,) * length)
+    rows = np.stack([table.sum(axis=tuple(a for a in range(length) if a != pos)) for pos in range(length)])
+    return float(row_entropy(rows).sum() - row_entropy(p))
 
 
 def filtered_endpoint_means(
@@ -331,9 +312,9 @@ def filtered_endpoint_means(
     if not 0.0 < u < u_k:
         raise ValueError(f"need 0 < u < u_k, got u={u}, u_k={u_k}")
     n, length, vocab = prior_rows.shape
-    b = stable_sinh(u) / stable_sinh(u_k)
+    b = math.sinh(u) / math.sinh(u_k)
     r = (states_u - b * states_uk).reshape(n, length, vocab)
-    return row_softmax(_log_table(prior_rows) + r / (2.0 * stable_sinh(u)))
+    return row_softmax(_log_table(prior_rows) + r / (2.0 * math.sinh(u)))
 
 
 def true_kernel_logdensities(
@@ -420,8 +401,9 @@ def kernel_kl_estimate(
     then the analytic bridge) and averages the log-density ratio, which is the
     forward KL certified by the multi-information bound, which is returned
     with it. The joint posterior at (u_k, y) is built once for the draws, the
-    true kernel and the bound, and its token rows once for the factorized
-    kernel and the bound. Non-finite ratios are excluded and counted.
+    true kernel and the bound (``multi_information``, whose marginals are
+    summed out of that joint), and the oracle's token rows once for the
+    factorized kernel. Non-finite ratios are excluded and counted.
 
     Draw order: all n endpoint uniforms in one call, then, per chunk of
     m <= _MC_CHUNK samples, the chunk's bridge normals as one (m, L*V) call.
@@ -453,4 +435,4 @@ def kernel_kl_estimate(
     used = diff[mask]
     if used.size < 2:
         raise RuntimeError("too few finite samples for a KL estimate")
-    return KernelKl(*mean_se(used), n_flagged=flagged, mi=multi_information(post, rows))
+    return KernelKl(*mean_se(used), n_flagged=flagged, mi=multi_information(post, nu.vocab, nu.length))

@@ -86,10 +86,15 @@ class TestGenDist:
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_product_marginals_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "marginals",
+        ["[[NaN, 1.0]]", "notjson", '[[0.5,0.5],["a",0]]', "[[0.5,0.5],[0.5]]"],
+        ids=["nan", "not-json", "non-numeric", "ragged"],
+    )
+    def test_non_finite_product_marginals_exit_2(self, tmp_path, capsys, marginals):
         out = tmp_path / "p.json"
         assert main(["gen-dist", "--kind", "product", "--vocab", "2", "--length", "1",
-                     "--marginals", "[[NaN, 1.0]]", "--out", str(out)]) == 2
+                     "--marginals", marginals, "--out", str(out)]) == 2
         assert "marginals" in capsys.readouterr().err
         assert not out.exists()
 
@@ -142,6 +147,15 @@ class TestSample:
         out = tmp_path / "r"
         assert main([command, "--dist", copy_dist, "--oracle", "--chains", "0", "--out", str(out)]) == 2
         assert "'chains'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [["--oracle"], ["--predictor", "predictor.json"]], ids=["oracle", "predictor"])
+    def test_sweep_without_a_law_exits_2(self, tmp_path, capsys, source):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *source, "--chains", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--dist" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -386,6 +400,17 @@ class TestVerify:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["all_passed"]
         assert summary["gap"]["strictly_positive"]
+
+    def test_copy_law_over_twelve_binary_positions_passes(self, tmp_path):
+        # the factorization identity at verify's default levels, where the
+        # product of the rows of a 2^12 copy law underflows; only the gap check is shrunk
+        dist = tmp_path / "copy2x12.json"
+        assert main(["gen-dist", "--kind", "copy", "--vocab", "2", "--length", "12", "--out", str(dist)]) == 0
+        cfg = _write_config(tmp_path, {"gap_steps": 1, "gap_nodes": 1, "gap_n_mc": 1000})
+        out = tmp_path / "verify"
+        assert main(["verify", "--dist", str(dist), "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert [c["passed"] for c in summary["checks"]] == [True] * 4
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 7, 39])
     def test_product_law_bound_holds_within_rounding(self, tmp_path, product_dist, seed):

@@ -14,7 +14,6 @@ from mcbridge.kernels import (
     forward_sample,
     ou_coeffs,
     reverse_step_coeffs,
-    stable_sinh,
     tweedie_score,
 )
 
@@ -53,10 +52,6 @@ class TestOuCoeffs:
 
 
 class TestStableSinh:
-    def test_matches_sinh_across_scales(self):
-        for a in np.geomspace(1e-12, 5.0, 100):
-            np.testing.assert_allclose(stable_sinh(float(a)), math.sinh(float(a)), rtol=1e-14)
-
     def test_coefficient_identity(self):
         """1/(4 sinh^2 u) equals c_u^2/sigma_u^4 on a wide grid."""
         for u in np.geomspace(1e-4, 20.0, 60):
@@ -258,6 +253,17 @@ class TestReverseStepCoeffs:
             var_ref = 2.0 * math.sinh(u_next) * math.sinh(u_k - u_next) / sh_k
             np.testing.assert_allclose((a, b, var), (a_ref, b_ref, var_ref), rtol=1e-12)
             np.testing.assert_allclose(a * x0 + b * y, a_ref * x0 + b_ref * y, rtol=1e-12)
+
+    def test_tiny_step_matches_taylor_series(self):
+        """A step far below any grid's: the coefficients against sinh x = x + x^3/6 + x^5/120."""
+        u_next, u_k = 4e-9, 1e-8
+
+        def series(x):
+            return x * (1.0 + x * x / 6.0 * (1.0 + x * x / 20.0))
+
+        sh_k, sh_n, sh_g = series(u_k), series(u_next), series(u_k - u_next)
+        expected = (sh_g / sh_k, sh_n / sh_k, 2.0 * sh_n * sh_g / sh_k)
+        np.testing.assert_allclose(reverse_step_coeffs(u_next, u_k), expected, rtol=1e-14)
 
 
 class TestNoiseGrid:

@@ -139,6 +139,29 @@ class TestFactorizationCheck:
             worst = max(worst, factorization_check(nu, 0.7, x).gap)
         assert worst < 1e-12
 
+    def test_finite_where_the_product_of_the_rows_underflows(self):
+        # at level 0.01 the rows are near one-hot and their 6-fold product of a
+        # disagreeing sequence is below the smallest double, but its log is not
+        nu = make_joint("copy", 4, 6)
+        x = forward_state(nu, 0.01, derive_rng(7, "f4"))
+        res = factorization_check(nu, 0.01, x)
+        assert math.isfinite(res.kl) and res.gap < 1e-12
+
+    def test_rows_that_are_not_the_joints_marginals_open_a_gap(self, monkeypatch):
+        # the gap is sum_l KL(q_l || rows_l), so wrong rows must show in it
+        nu = make_joint("dirichlet", 3, 2, seed=6)
+        x = forward_state(nu, 1.0, derive_rng(8, "f5"))
+        exact = metrics.posterior_marginals
+
+        def reversed_first_row(*args):
+            rows = exact(*args)
+            rows[:, 0] = rows[:, 0, ::-1]
+            return rows
+
+        assert factorization_check(nu, 1.0, x).gap < 1e-12
+        monkeypatch.setattr(metrics, "posterior_marginals", reversed_first_row)
+        assert factorization_check(nu, 1.0, x).gap >= 1e-3
+
 
 class TestMomentCheck:
     def test_point_mass_marginals(self):
